@@ -1,7 +1,7 @@
 # Convenience targets for the reproduction. Everything is plain `go` —
 # these just bundle the invocations the docs mention.
 
-.PHONY: all build test short race ci chaos sockets fuzz soak bench bench-md bench-transport repro examples fmt vet
+.PHONY: all build test short race ci chaos sockets flake fuzz soak bench bench-md bench-transport repro examples fmt vet
 
 all: build vet test
 
@@ -48,63 +48,30 @@ chaos:
 		go run ./cmd/crdt-sim -chaos -algo $$a -nodes 3 -ops 10 -seed 1 -seeds 3 | tail -1; done
 	go test -run '^$$' -fuzz '^FuzzClusterDelivery$$' -fuzztime 30s ./internal/sim/
 
-# Mirror of CI's socket-transport smoke: the in-repo two-OS-process test plus
-# the node/manifest multiplexing tests, the crdt-sim two-process unix demo,
-# a two-process multi-object demo (four mixed-kind objects over one socket
-# pair), checking byte-identical canonical states per object, a weighted
-# per-object scheduler demo (8:1 weights plus a 5ms delay override) whose
-# scheduler ledger the binary itself checks for balance, and a parallel
-# receive-pipeline demo (-recv-workers) whose receive ledger the binary
-# checks against the wire totals.
+# CI's socket-transport smoke job runs this target: the in-repo socket,
+# node and manifest tests, then scripts/socket-smoke.sh — crdt-sim processes
+# over unix and tcp sockets (two- and three-process demos, batching, late-join
+# snapshot catch-up, a multi-object tcp mesh with a late joiner, a
+# multi-object unix mesh on a two-shard receive pipeline, and the weighted
+# per-object scheduler), each leg checking byte-identical canonical states
+# and the ledgers every binary audits.
 sockets:
 	go test -run 'TestStream|TestNode|TestManifest' ./internal/transport/
-	@D=$$(mktemp -d); \
-	go build -o "$$D/crdt-sim" ./cmd/crdt-sim; \
-	"$$D/crdt-sim" -transport unix -addrs "$$D/a.sock,$$D/b.sock" -node 0 -algo rga -ops 20 -seed 7 > "$$D/p0.log" & \
-	sleep 0.2; \
-	"$$D/crdt-sim" -transport unix -addrs "$$D/a.sock,$$D/b.sock" -node 1 -algo rga -ops 20 -seed 7 > "$$D/p1.log"; \
-	wait; cat "$$D/p0.log" "$$D/p1.log"; \
-	s0=$$(awk '/canonical state/{print $$NF}' "$$D/p0.log"); \
-	s1=$$(awk '/canonical state/{print $$NF}' "$$D/p1.log"); \
-	[ -n "$$s0" ] && [ "$$s0" = "$$s1" ] || { echo "canonical states diverged"; exit 1; }
-	@D=$$(mktemp -d); \
-	go build -o "$$D/crdt-sim" ./cmd/crdt-sim; \
-	"$$D/crdt-sim" -transport unix -addrs "$$D/a.sock,$$D/b.sock" -node 0 -objects 4 -mixed -ops 12 -seed 7 -batch-frames 4 -flush-every 3ms > "$$D/p0.log" & \
-	sleep 0.2; \
-	"$$D/crdt-sim" -transport unix -addrs "$$D/a.sock,$$D/b.sock" -node 1 -objects 4 -mixed -ops 12 -seed 7 > "$$D/p1.log"; \
-	wait; cat "$$D/p0.log" "$$D/p1.log"; \
-	for o in 1 2 3 4; do \
-		s0=$$(awk -v o="$$o" '$$3=="obj" && $$4==o && /canonical state/{print $$NF}' "$$D/p0.log"); \
-		s1=$$(awk -v o="$$o" '$$3=="obj" && $$4==o && /canonical state/{print $$NF}' "$$D/p1.log"); \
-		[ -n "$$s0" ] && [ "$$s0" = "$$s1" ] || { echo "object $$o diverged"; exit 1; }; \
-	done; \
-	grep -q 'over 1 connection(s)' "$$D/p0.log" || { echo "node 0 opened more than one socket pair"; exit 1; }
-	@D=$$(mktemp -d); \
-	go build -o "$$D/crdt-sim" ./cmd/crdt-sim; \
-	SCHED="-objects 4 -mixed -ops 12 -seed 7 -batch-frames 64 -weights 1:8,2:1 -obj-max-delay 2:5ms"; \
-	"$$D/crdt-sim" -transport unix -addrs "$$D/a.sock,$$D/b.sock" -node 0 $$SCHED > "$$D/p0.log" & \
-	sleep 0.2; \
-	"$$D/crdt-sim" -transport unix -addrs "$$D/a.sock,$$D/b.sock" -node 1 $$SCHED > "$$D/p1.log"; \
-	wait; cat "$$D/p0.log" "$$D/p1.log"; \
-	for o in 1 2 3 4; do \
-		s0=$$(awk -v o="$$o" '$$3=="obj" && $$4==o && /canonical state/{print $$NF}' "$$D/p0.log"); \
-		s1=$$(awk -v o="$$o" '$$3=="obj" && $$4==o && /canonical state/{print $$NF}' "$$D/p1.log"); \
-		[ -n "$$s0" ] && [ "$$s0" = "$$s1" ] || { echo "object $$o diverged under the weighted scheduler"; exit 1; }; \
-	done; \
-	grep -q 'scheduler queued/drained' "$$D/p0.log" || { echo "node 0 printed no scheduler ledger"; exit 1; }
-	@D=$$(mktemp -d); \
-	go build -o "$$D/crdt-sim" ./cmd/crdt-sim; \
-	PIPED="-objects 4 -mixed -ops 12 -seed 7 -batch-frames 4 -flush-every 3ms -recv-workers 2"; \
-	"$$D/crdt-sim" -transport unix -addrs "$$D/a.sock,$$D/b.sock" -node 0 $$PIPED > "$$D/p0.log" & \
-	sleep 0.2; \
-	"$$D/crdt-sim" -transport unix -addrs "$$D/a.sock,$$D/b.sock" -node 1 $$PIPED > "$$D/p1.log"; \
-	wait; cat "$$D/p0.log" "$$D/p1.log"; \
-	for o in 1 2 3 4; do \
-		s0=$$(awk -v o="$$o" '$$3=="obj" && $$4==o && /canonical state/{print $$NF}' "$$D/p0.log"); \
-		s1=$$(awk -v o="$$o" '$$3=="obj" && $$4==o && /canonical state/{print $$NF}' "$$D/p1.log"); \
-		[ -n "$$s0" ] && [ "$$s0" = "$$s1" ] || { echo "object $$o diverged under the receive pipeline"; exit 1; }; \
-	done; \
-	grep -q 'receive pipeline workers=2' "$$D/p0.log" || { echo "node 0 printed no receive-pipeline ledger"; exit 1; }
+	bash scripts/socket-smoke.sh
+
+# Mirror of the nightly CI flake-rate job: the conformance and transport
+# suites 20 times under the race detector at 1, 2 and 4 CPUs. Prints how many
+# test runs failed and fails on any. The 60 runs of each package take far
+# longer than go test's default 10-minute per-binary limit, hence -timeout.
+flake:
+	@out=$$(mktemp); \
+	go test -race -timeout 3h -count=20 -cpu 1,2,4 ./internal/conformance/ ./internal/transport/ > "$$out" 2>&1; s=$$?; \
+	n=$$(grep -c '^--- FAIL' "$$out"); \
+	grep -B2 -A20 '^--- FAIL' "$$out" | head -200; \
+	tail -5 "$$out"; rm -f "$$out"; \
+	echo "flake: $$n failed test run(s)"; \
+	if [ $$s -ne 0 ] && [ $$n -eq 0 ]; then echo "flake: go test failed without a failed test run (build error, panic or timeout; see above)"; fi; \
+	[ $$s -eq 0 ] && [ $$n -eq 0 ]
 
 fuzz:
 	go test -run '^$$' -fuzz '^FuzzCheckACC$$' -fuzztime 30s ./internal/core/

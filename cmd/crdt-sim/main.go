@@ -88,14 +88,14 @@
 // drained, cap- and deadline-attributed flushes, p99 enqueue→wire delay) and
 // exits non-zero if the ledger does not balance against the wire totals.
 //
-// With -recv-workers N a socket process applies received frames on N
-// parallel per-object shards with bounded queues instead of the interleaved
-// pull loop: each object is pinned to one shard, so per-object delivery
-// order (and with it causal hold-back, dedup and snapshot catch-up) is
-// untouched while distinct objects apply concurrently, and a full shard
-// queue stalls the reader instead of buffering without bound. The process
-// prints the pipeline's per-shard ledger, which must balance against the
-// per-peer wire totals:
+// A socket process applies received frames through the receive pipeline:
+// -recv-workers N (default 1) parallel per-object shards with bounded
+// queues. Each object is pinned to one shard, so per-object delivery order
+// (and with it causal hold-back, dedup and snapshot catch-up) is untouched
+// while distinct objects apply concurrently, and a full shard queue stalls
+// the reader instead of buffering without bound. The process prints the
+// pipeline's per-shard ledger, which must balance against the per-peer wire
+// totals:
 //
 //	crdt-sim -transport unix -addrs /tmp/a.sock,/tmp/b.sock -node 0 -objects 4 -mixed -recv-workers 2 -ops 16 -seed 7 &
 //	crdt-sim -transport unix -addrs /tmp/a.sock,/tmp/b.sock -node 1 -objects 4 -mixed -recv-workers 2 -ops 16 -seed 7
@@ -160,9 +160,11 @@ func main() {
 		objects = flag.Int("objects", 1, "socket transports: replicate N independent objects multiplexed over the one socket mesh (manifest object ids 1..N)")
 		mixed   = flag.Bool("mixed", false, "socket transports: with -objects, cycle the objects through different algorithms and print a product reassembled from the first two")
 
-		recvWorkers = flag.Int("recv-workers", 0, "socket transports: apply received frames on N parallel per-object shards with bounded queues (0 = legacy pull loop)")
+		recvWorkers = flag.Int("recv-workers", 1, "socket transports: apply received frames on N parallel per-object shards with bounded queues")
 	)
 	flag.Parse()
+	given := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { given[f.Name] = true })
 	fail := func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, "crdt-sim: "+format+"\n", args...)
 		os.Exit(2)
@@ -204,7 +206,7 @@ func main() {
 		if *objects != 1 || *mixed {
 			fail("-objects and -mixed apply to socket transports: pass -transport unix or -transport tcp")
 		}
-		if *recvWorkers != 0 {
+		if given["recv-workers"] {
 			fail("-recv-workers applies to socket transports: pass -transport unix or -transport tcp")
 		}
 	case "unix", "tcp":
@@ -227,8 +229,8 @@ func main() {
 		if *mixed && *objects < 2 {
 			fail("-mixed needs -objects of at least 2 to mix algorithms")
 		}
-		if *recvWorkers < 0 {
-			fail("-recv-workers must be non-negative (got %d)", *recvWorkers)
+		if *recvWorkers < 1 {
+			fail("-recv-workers must be at least 1 (got %d)", *recvWorkers)
 		}
 		if *objects > 1 {
 			os.Exit(runPeerMulti(alg, *trans, *node, strings.Split(*addrs, ","), *ops, *seed, policy, schedPol, *snap, late, *catchUp, *objects, *mixed, *recvWorkers))
@@ -339,7 +341,7 @@ func recvStatsLine(rs transport.RecvStats) string {
 	return strings.Join(parts, " ")
 }
 
-// finishReceiver stops a pipelined node's receive side after quiescence: it
+// finishReceiver stops a node's receive pipeline after quiescence: it
 // closes the endpoint (nothing further can arrive once every peer is done and
 // drained), waits for the shards to finish, and prints the pipeline ledger,
 // which must balance against the per-peer wire totals — every received frame
@@ -374,9 +376,9 @@ func finishReceiver(node int, n *transport.Node, st *transport.Stream) int {
 // joiners declared (or as a -catch-up joiner itself) it runs the snapshot
 // protocol: early peers serve checkpoint-plus-suffix responses and compact
 // their logs every snapEvery applied frames; the joiner installs the first
-// response before playing its share. With recvWorkers > 0 the receive side
-// runs as the parallel pipeline (the single object pins to one shard, so
-// delivery order is unchanged) instead of the interleaved Step calls.
+// response before playing its share. The object runs under a Node demux
+// whose receive pipeline applies inbound frames the whole run (the single
+// object pins to one shard, whatever recvWorkers asks for).
 func runPeer(alg registry.Algorithm, network string, node int, addrList []string, ops int, seed int64, policy transport.BatchPolicy, schedPol transport.SchedPolicy, snapEvery int, late []model.NodeID, catchUp bool, recvWorkers int) int {
 	if len(addrList) < 2 {
 		fmt.Fprintf(os.Stderr, "crdt-sim: -addrs lists %d address(es); a mesh needs at least 2\n", len(addrList))
@@ -391,12 +393,11 @@ func runPeer(alg registry.Algorithm, network string, node int, addrList []string
 		full[i] = network + ":" + strings.TrimSpace(a)
 	}
 	script := sim.GenScript(alg.New(), alg.Abs, sim.GenFunc(alg.GenOp), len(addrList), ops, seed, alg.NeedsCausal)
-	sopts := []transport.StreamOption{transport.WithRecvTimeout(30 * time.Second), transport.WithBatching(policy)}
-	if len(schedPol.Weights) > 0 || len(schedPol.MaxDelay) > 0 {
-		sopts = append(sopts, transport.WithScheduler(schedPol))
-	}
-	if recvWorkers > 0 {
-		sopts = append(sopts, transport.WithReceiver(transport.RecvPolicy{Workers: recvWorkers}))
+	sopts := []transport.StreamOption{
+		transport.WithRecvTimeout(30 * time.Second),
+		transport.WithBatching(policy),
+		transport.WithScheduler(schedPol),
+		transport.WithReceiver(transport.RecvPolicy{Workers: recvWorkers}),
 	}
 	switch {
 	case catchUp:
@@ -417,36 +418,26 @@ func runPeer(alg registry.Algorithm, network string, node int, addrList []string
 	if catchUp {
 		popts = append(popts, transport.WithCatchUp(alg.DecodeState))
 	}
-	// Pipeline mode wraps the single object in a Node demux: the object's
-	// frames carry the default object id 0, and StartReceiver owns the
-	// receive side the rest of the run.
-	var n *transport.Node
+	// The single object's frames carry the default object id 0, and
+	// StartReceiver owns the receive side the rest of the run.
+	n, err := transport.NewNode(st, nil)
 	var p *transport.Peer
-	if recvWorkers > 0 {
-		n, err = transport.NewNode(st, nil)
-		if err == nil {
-			p, err = n.Register(0, alg.New(), alg.DecodeEffector, alg.NeedsCausal, popts...)
-		}
-		if err == nil {
-			_, err = n.StartReceiver()
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "crdt-sim: node %d: %v\n", node, err)
-			return 1
-		}
-	} else {
-		p = transport.NewPeer(alg.New(), alg.DecodeEffector, st, alg.NeedsCausal, popts...)
+	if err == nil {
+		p, err = n.Register(0, alg.New(), alg.DecodeEffector, alg.NeedsCausal, popts...)
+	}
+	if err == nil {
+		_, err = n.StartReceiver()
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "crdt-sim: node %d: %v\n", node, err)
+		return 1
 	}
 	if catchUp {
 		if err := p.CatchUp(); err != nil {
 			fmt.Fprintf(os.Stderr, "crdt-sim: node %d: %v\n", node, err)
 			return 1
 		}
-		await := p.AwaitCatchUp
-		if n != nil {
-			await = n.AwaitCatchUp
-		}
-		if err := await(60 * time.Second); err != nil {
+		if err := n.AwaitCatchUp(60 * time.Second); err != nil {
 			fmt.Fprintf(os.Stderr, "crdt-sim: node %d: catch-up: %v\n", node, err)
 			return 1
 		}
@@ -459,31 +450,17 @@ func runPeer(alg registry.Algorithm, network string, node int, addrList []string
 			fmt.Fprintf(os.Stderr, "crdt-sim: node %d: invoke %v: %v\n", node, so.Op, err)
 			return 1
 		}
-		if n == nil {
-			// Interleave receive progress so peers observe each other
-			// mid-script (the pipeline applies continuously on its own).
-			if _, err := p.Step(false); err != nil {
-				fmt.Fprintf(os.Stderr, "crdt-sim: node %d: %v\n", node, err)
-				return 1
-			}
-		}
 	}
 	if err := p.Done(); err != nil {
 		fmt.Fprintf(os.Stderr, "crdt-sim: node %d: %v\n", node, err)
 		return 1
 	}
-	quiesce := p.RunToQuiescence
-	if n != nil {
-		quiesce = n.RunToQuiescence
-	}
-	if err := quiesce(60 * time.Second); err != nil {
+	if err := n.RunToQuiescence(60 * time.Second); err != nil {
 		fmt.Fprintf(os.Stderr, "crdt-sim: node %d: %v\n", node, err)
 		return 1
 	}
-	if n != nil {
-		if code := finishReceiver(node, n, st); code != 0 {
-			return code
-		}
+	if code := finishReceiver(node, n, st); code != 0 {
+		return code
 	}
 	fmt.Printf("node %d: quiescent over %s (issued %d, applied %d remote), φ(state) = %s\n",
 		node, network, p.Issued(), p.Applied(), alg.Abs(p.State()))
@@ -492,13 +469,11 @@ func runPeer(alg registry.Algorithm, network string, node int, addrList []string
 		fmt.Printf("node %d: transport sent %d frames in %d batches (%d B), received %d frames in %d batches (%d B), flushes frames=%d bytes=%d delay=%d explicit=%d close=%d\n",
 			node, sent.Frames, sent.Batches, sent.Bytes, recv.Frames, recv.Batches, recv.Bytes,
 			ts.Flushes.Frames, ts.Flushes.Bytes, ts.Flushes.Delay, ts.Flushes.Explicit, ts.Flushes.Close)
-		if ts.Sched.Enabled {
-			if err := ts.SchedBalance(); err != nil {
-				fmt.Fprintf(os.Stderr, "crdt-sim: node %d: %v\n", node, err)
-				return 1
-			}
-			fmt.Printf("node %d: scheduler queued/drained: %s\n", node, schedStatsLine(ts.Sched))
+		if err := ts.SchedBalance(); err != nil {
+			fmt.Fprintf(os.Stderr, "crdt-sim: node %d: %v\n", node, err)
+			return 1
 		}
+		fmt.Printf("node %d: scheduler queued/drained: %s\n", node, schedStatsLine(ts.Sched))
 	}
 	if catchUp || snapEvery > 0 || len(late) > 0 {
 		ss := p.SnapshotStats()
@@ -568,12 +543,8 @@ func runPeerMulti(alg registry.Algorithm, network string, node int, addrList []s
 		transport.WithRecvTimeout(30 * time.Second),
 		transport.WithBatching(policy),
 		transport.WithManifest(man),
-	}
-	if len(schedPol.Weights) > 0 || len(schedPol.MaxDelay) > 0 {
-		sopts = append(sopts, transport.WithScheduler(schedPol))
-	}
-	if recvWorkers > 0 {
-		sopts = append(sopts, transport.WithReceiver(transport.RecvPolicy{Workers: recvWorkers}))
+		transport.WithScheduler(schedPol),
+		transport.WithReceiver(transport.RecvPolicy{Workers: recvWorkers}),
 	}
 	switch {
 	case catchUp:
@@ -602,10 +573,8 @@ func runPeerMulti(alg registry.Algorithm, network string, node int, addrList []s
 			return fail("%v", err)
 		}
 	}
-	if recvWorkers > 0 {
-		if _, err := n.StartReceiver(); err != nil {
-			return fail("%v", err)
-		}
+	if _, err := n.StartReceiver(); err != nil {
+		return fail("%v", err)
 	}
 	if catchUp {
 		if err := n.CatchUp(); err != nil {
@@ -630,11 +599,6 @@ func runPeerMulti(alg registry.Algorithm, network string, node int, addrList []s
 			if _, err := p.Invoke(sop.Op); err != nil && !errors.Is(err, crdt.ErrAssume) {
 				return fail("object %d: invoke %v: %v", spec.ID, sop.Op, err)
 			}
-			if recvWorkers == 0 {
-				if _, err := n.Step(false); err != nil {
-					return fail("%v", err)
-				}
-			}
 		}
 	}
 	for _, obj := range n.Objects() {
@@ -646,10 +610,8 @@ func runPeerMulti(alg registry.Algorithm, network string, node int, addrList []s
 	if err := n.RunToQuiescence(60 * time.Second); err != nil {
 		return fail("%v", err)
 	}
-	if recvWorkers > 0 {
-		if code := finishReceiver(node, n, st); code != 0 {
-			return code
-		}
+	if code := finishReceiver(node, n, st); code != 0 {
+		return code
 	}
 	for oi, spec := range man {
 		p, _ := n.Peer(spec.ID)
@@ -680,12 +642,10 @@ func runPeerMulti(alg registry.Algorithm, network string, node int, addrList []s
 		return fail("per-object frame counters (sent %d, recv %d) do not sum to the per-peer totals (sent %d, recv %d)",
 			sentObj, recvObj, sent.Frames, recv.Frames)
 	}
-	if ts.Sched.Enabled {
-		if err := ts.SchedBalance(); err != nil {
-			return fail("%v", err)
-		}
-		fmt.Printf("node %d: scheduler queued/drained: %s\n", node, schedStatsLine(ts.Sched))
+	if err := ts.SchedBalance(); err != nil {
+		return fail("%v", err)
 	}
+	fmt.Printf("node %d: scheduler queued/drained: %s\n", node, schedStatsLine(ts.Sched))
 	if mixed {
 		p1, _ := n.Peer(man[0].ID)
 		p2, _ := n.Peer(man[1].ID)

@@ -597,7 +597,7 @@ func batchedChecks(alg registry.Algorithm, cfg Config) error {
 			peers := make([]*transport.Peer, nodes)
 			for i := range peers {
 				peers[i] = transport.NewPeer(alg.New(), alg.DecodeEffector,
-					m.BatchedEndpoint(model.NodeID(i), policies[i]), alg.NeedsCausal)
+					m.Endpoint(model.NodeID(i), transport.WithBatching(policies[i])), alg.NeedsCausal)
 			}
 			sched := rand.New(rand.NewSource(seed))
 			for _, so := range script {
@@ -873,14 +873,17 @@ func socketSnapshotChecks(alg registry.Algorithm, cfg Config) error {
 // algorithm, and two components a product object reassembles at read time —
 // share one transport endpoint per node through the transport.Node demux, on
 // a three-node mesh. The item runs over write-batching Mem endpoints with a
-// different flush policy per node, then three times over a live unix-socket
-// mesh whose third peer is a late joiner that snapshot-catches-up on every
-// object through the one shared socket pair: with the legacy pull loop, with
-// the receive pipeline on a single apply shard, and with the pipeline on
-// four shards applying distinct objects concurrently. All three socket legs
-// must converge to byte-identical canonical states — object sharding
-// reorders apply across objects only, never within one, so the quiescent
-// states cannot differ.
+// different flush policy per node, then twice over a live unix-socket mesh
+// whose third peer is a late joiner that snapshot-catches-up on every object
+// through the one shared socket pair: with the receive pipeline on a single
+// apply shard, and on four shards applying distinct objects concurrently.
+// Both socket legs must converge to byte-identical canonical states — object
+// sharding reorders apply across objects only, never within one, so the
+// quiescent states cannot differ. That comparison relies on each early peer
+// preparing every local operation before it applies any remote effector
+// (some effectors depend on the state they were prepared against), so the
+// early peers start their receivers only after their last invoke and fail
+// loudly if a remote effector applied before it.
 //
 // Every leg requires byte-identical per-object canonical states on every
 // node, the read-time product reassembled from its independently replicated
@@ -890,7 +893,7 @@ func socketSnapshotChecks(alg registry.Algorithm, cfg Config) error {
 // additionally require exactly one connection per process pair (objects
 // multiply the traffic, not the sockets), a per-object snapshot install for
 // the joiner (no fallback), a balanced receive-pipeline ledger on every
-// pipelined node (received == dispatched == applied), and — when both early
+// node (received == dispatched == applied), and — when both early
 // peers issued frames for an object — a compacted broadcast log for that
 // object on both of them.
 func multiObjectChecks(alg registry.Algorithm, cfg Config) error {
@@ -984,7 +987,7 @@ func multiObjectChecks(alg registry.Algorithm, cfg Config) error {
 		m := transport.NewMem(nodes)
 		ns := make([]*transport.Node, nodes)
 		for i := range ns {
-			n, err := transport.NewNode(m.BatchedEndpoint(model.NodeID(i), policies[i]), man)
+			n, err := transport.NewNode(m.Endpoint(model.NodeID(i), transport.WithBatching(policies[i])), man)
 			if err != nil {
 				return err
 			}
@@ -1041,11 +1044,11 @@ func multiObjectChecks(alg registry.Algorithm, cfg Config) error {
 		return nil
 	}
 
-	// Legs 2-4: live unix-socket mesh with a late joiner catching up on every
-	// object over the one shared socket pair per process pair. rp selects the
-	// receive side: the zero policy is the legacy pull loop, Workers >= 1 the
-	// parallel pipeline. Returns the per-node per-object canonical states so
-	// the pipeline legs can be checked byte-identical against the legacy one.
+	// Legs 2-3: live unix-socket mesh with a late joiner catching up on every
+	// object over the one shared socket pair per process pair, received by
+	// the pipeline on rp.Workers shards. Returns the per-node per-object
+	// canonical states so the legs can be checked byte-identical against
+	// each other.
 	unixLeg := func(rp transport.RecvPolicy) ([][][]byte, error) {
 		dir, err := os.MkdirTemp("", "crdt-multiobj-*")
 		if err != nil {
@@ -1083,9 +1086,6 @@ func multiObjectChecks(alg registry.Algorithm, cfg Config) error {
 		// Sampling before the pipeline stops would race in-flight frames.
 		checkPipeline := func(n *transport.Node, st *transport.Stream) error {
 			r := n.Receiver()
-			if r == nil {
-				return nil
-			}
 			st.Close()
 			select {
 			case <-r.Done():
@@ -1102,14 +1102,10 @@ func multiObjectChecks(alg registry.Algorithm, cfg Config) error {
 			defer wg.Done()
 			reported := false
 			err := func() error {
-				sopts := []transport.StreamOption{
-					transport.WithRecvTimeout(5 * time.Second), transport.WithLateJoiners(joiner),
+				st, err := transport.Listen(id, addrs,
+					transport.WithRecvTimeout(5*time.Second), transport.WithLateJoiners(joiner),
 					transport.WithManifest(man), transport.WithBatching(transport.BatchPolicy{MaxFrames: 4}),
-				}
-				if rp.Workers > 0 {
-					sopts = append(sopts, transport.WithReceiver(rp))
-				}
-				st, err := transport.Listen(id, addrs, sopts...)
+					transport.WithReceiver(rp))
 				if err != nil {
 					return err
 				}
@@ -1122,11 +1118,6 @@ func multiObjectChecks(alg registry.Algorithm, cfg Config) error {
 					return []transport.PeerOption{transport.WithSnapshotPolicy(transport.SnapshotPolicy{Every: 3})}
 				}); err != nil {
 					return err
-				}
-				if rp.Workers > 0 {
-					if _, err := n.StartReceiver(); err != nil {
-						return err
-					}
 				}
 				for oi, ospec := range man {
 					for _, so := range scripts[oi] {
@@ -1145,10 +1136,19 @@ func multiObjectChecks(alg registry.Algorithm, cfg Config) error {
 						return err
 					}
 				}
+				// Receive only now: every local operation was prepared against
+				// local state alone, whatever the other peer's timing, which
+				// the cross-leg byte-identity check relies on.
+				for _, obj := range n.Objects() {
+					if p, _ := n.Peer(obj); p.Applied() > 0 {
+						return fmt.Errorf("object %d: remote effector applied before the last local invoke", obj)
+					}
+				}
+				if _, err := n.StartReceiver(); err != nil {
+					return err
+				}
 				// Hold the join until every object has the other early peer's
 				// Done: each object's final pre-join compaction has run then.
-				// With the pipeline the shards apply in the background, so wait
-				// on the predicate; without it, pull frames ourselves.
 				doneEverywhere := func() bool {
 					for _, obj := range n.Objects() {
 						p, _ := n.Peer(obj)
@@ -1158,16 +1158,8 @@ func multiObjectChecks(alg registry.Algorithm, cfg Config) error {
 					}
 					return true
 				}
-				if n.Receiver() != nil {
-					if err := n.Await(10*time.Second, doneEverywhere); err != nil {
-						return err
-					}
-				} else {
-					for !doneEverywhere() {
-						if _, err := n.Step(true); err != nil {
-							return err
-						}
-					}
+				if err := n.Await(10*time.Second, doneEverywhere); err != nil {
+					return err
 				}
 				reported = true
 				ready <- nil
@@ -1199,14 +1191,9 @@ func multiObjectChecks(alg registry.Algorithm, cfg Config) error {
 						return fmt.Errorf("early peer failed before the join: %w", err)
 					}
 				}
-				sopts := []transport.StreamOption{
-					transport.WithRecvTimeout(5 * time.Second), transport.AsLateJoiner(),
-					transport.WithManifest(man),
-				}
-				if rp.Workers > 0 {
-					sopts = append(sopts, transport.WithReceiver(rp))
-				}
-				st, err := transport.Listen(joiner, addrs, sopts...)
+				st, err := transport.Listen(joiner, addrs,
+					transport.WithRecvTimeout(5*time.Second), transport.AsLateJoiner(),
+					transport.WithManifest(man), transport.WithReceiver(rp))
 				if err != nil {
 					return err
 				}
@@ -1220,10 +1207,8 @@ func multiObjectChecks(alg registry.Algorithm, cfg Config) error {
 				}); err != nil {
 					return err
 				}
-				if rp.Workers > 0 {
-					if _, err := n.StartReceiver(); err != nil {
-						return err
-					}
+				if _, err := n.StartReceiver(); err != nil {
+					return err
 				}
 				if err := n.CatchUp(); err != nil {
 					return err
@@ -1295,24 +1280,22 @@ func multiObjectChecks(alg registry.Algorithm, cfg Config) error {
 	if err := memLeg(); err != nil {
 		return fmt.Errorf("mem leg: %w", err)
 	}
-	legacy, err := unixLeg(transport.RecvPolicy{})
+	serial, err := unixLeg(transport.RecvPolicy{Workers: 1})
 	if err != nil {
-		return fmt.Errorf("unix leg (legacy pull loop): %w", err)
+		return fmt.Errorf("unix leg (pipeline workers=1): %w", err)
 	}
-	// The pipeline legs rerun the same scripts; concurrency across objects
+	// The four-shard leg reruns the same scripts; concurrency across objects
 	// must not change any object's outcome, so every canonical state has to
-	// match the legacy leg's byte for byte.
-	for _, workers := range []int{1, 4} {
-		piped, err := unixLeg(transport.RecvPolicy{Workers: workers})
-		if err != nil {
-			return fmt.Errorf("unix leg (pipeline workers=%d): %w", workers, err)
-		}
-		for id := range piped {
-			for oi, ospec := range man {
-				if !bytes.Equal(piped[id][oi], legacy[id][oi]) {
-					return fmt.Errorf("unix leg (pipeline workers=%d): node %d object %d (%s) canonical state diverges from the legacy pull-loop leg",
-						workers, id, ospec.ID, ospec.Kind)
-				}
+	// match the single-shard leg's byte for byte.
+	sharded, err := unixLeg(transport.RecvPolicy{Workers: 4})
+	if err != nil {
+		return fmt.Errorf("unix leg (pipeline workers=4): %w", err)
+	}
+	for id := range sharded {
+		for oi, ospec := range man {
+			if !bytes.Equal(sharded[id][oi], serial[id][oi]) {
+				return fmt.Errorf("unix leg (pipeline workers=4): node %d object %d (%s) canonical state diverges from the workers=1 leg",
+					id, ospec.ID, ospec.Kind)
 			}
 		}
 	}
@@ -1325,7 +1308,7 @@ func multiObjectChecks(alg registry.Algorithm, cfg Config) error {
 // with per-object max-delay overrides. Two legs:
 //
 // The Mem leg runs three nodes with a different scheduler policy each (8:1
-// weighted chunked, evenly weighted, and an unscheduled FIFO control) under
+// weighted chunked, evenly weighted, and the default zero policy) under
 // cap-forced flushes, and requires byte-identical per-object convergence, the
 // per-object frame counters summing to the per-peer wire totals, the
 // scheduler's queued == drained + depth ledger balancing on every node, and a
@@ -1413,7 +1396,7 @@ func fairnessChecks(alg registry.Algorithm, cfg Config) error {
 	}
 
 	// Leg 1: deterministic weighted Mem mesh. Scheduling policies differ per
-	// node — chunked 8:1, evenly weighted, and a FIFO control — so the DRR
+	// node — chunked 8:1, evenly weighted, and the zero policy — so the DRR
 	// drain order genuinely reorders frames relative to arrival, yet a rerun
 	// must reproduce every byte of state and every stats counter.
 	memLeg := func() ([][][]byte, []transport.Stats, error) {
@@ -1425,12 +1408,12 @@ func fairnessChecks(alg registry.Algorithm, cfg Config) error {
 		schedPols := [nodes]transport.SchedPolicy{
 			{Weights: map[transport.ObjID]int{chatty: 1, quiet: 8}, ChunkFrames: 2},
 			{Weights: map[transport.ObjID]int{chatty: 2, quiet: 2}, ChunkFrames: 1},
-			{}, // unscheduled FIFO control
+			{}, // default weights, whole-backlog containers
 		}
 		m := transport.NewMem(nodes)
 		ns := make([]*transport.Node, nodes)
 		for i := range ns {
-			n, err := transport.NewNode(m.SchedEndpoint(model.NodeID(i), batch[i], schedPols[i]), man)
+			n, err := transport.NewNode(m.Endpoint(model.NodeID(i), transport.WithBatching(batch[i]), transport.WithScheduler(schedPols[i])), man)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -1502,10 +1485,6 @@ func fairnessChecks(alg registry.Algorithm, cfg Config) error {
 	if queued == 0 {
 		return fmt.Errorf("mem leg: no node queued a single frame — the scripts exercised nothing")
 	}
-	if !stats[0].Sched.Enabled || stats[2].Sched.Enabled {
-		return fmt.Errorf("mem leg: scheduler enablement mis-reported (node 0: %v, node 2: %v)",
-			stats[0].Sched.Enabled, stats[2].Sched.Enabled)
-	}
 	rerunStates, rerunStats, err := memLeg()
 	if err != nil {
 		return fmt.Errorf("mem rerun: %w", err)
@@ -1557,6 +1536,9 @@ func fairnessChecks(alg registry.Algorithm, cfg Config) error {
 					return err
 				}
 				if err := register(n); err != nil {
+					return err
+				}
+				if _, err := n.StartReceiver(); err != nil {
 					return err
 				}
 				invoke := func(oi int, ospec transport.ObjectSpec) error {
@@ -1653,9 +1635,6 @@ func fairnessChecks(alg registry.Algorithm, cfg Config) error {
 			if conns[id] != nodes-1 {
 				return fmt.Errorf("node %d holds %d connections for %d peers — objects must share one socket pair per process pair",
 					id, conns[id], nodes-1)
-			}
-			if !wire[id].Sched.Enabled {
-				return fmt.Errorf("node %d: scheduler not enabled despite WithScheduler", id)
 			}
 			if err := checkStats(id, wire[id]); err != nil {
 				return err

@@ -413,7 +413,7 @@ func TestStreamFlushTriggers(t *testing.T) {
 func TestMemBatchedEndpointDeterminism(t *testing.T) {
 	run := func() ([]model.MsgID, Stats) {
 		m := NewMem(2)
-		ep := m.BatchedEndpoint(0, BatchPolicy{MaxFrames: 3}).(*memEndpoint)
+		ep := m.Endpoint(0, WithBatching(BatchPolicy{MaxFrames: 3})).(*memEndpoint)
 		for i := 1; i <= 7; i++ {
 			if err := ep.Broadcast(Frame{Kind: KindEffector, MID: model.MsgID(i), From: 0, Payload: []byte{byte(i)}}); err != nil {
 				t.Fatal(err)

@@ -3,7 +3,10 @@ package transport
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/codec"
 	"repro/internal/model"
@@ -124,6 +127,33 @@ func TestMemEndpointBroadcastRecv(t *testing.T) {
 	}
 	if _, ok, err := b.Recv(true); ok || err != nil {
 		t.Fatalf("drained blocking recv: ok=%v err=%v", ok, err)
+	}
+}
+
+// TestMemEndpointRejectsSocketOptions pins the one Mem constructor's
+// contract: the batching and scheduling options configure it, and every
+// socket-only option panics with its name rather than being silently ignored.
+func TestMemEndpointRejectsSocketOptions(t *testing.T) {
+	m := NewMem(2)
+	ep := m.Endpoint(0, WithBatching(BatchPolicy{MaxFrames: 4}), WithScheduler(SchedPolicy{ChunkFrames: 2})).(*memEndpoint)
+	if ep.policy.MaxFrames != 4 || ep.sq.pol.ChunkFrames != 2 {
+		t.Fatalf("options not applied: policy %+v, sched %+v", ep.policy, ep.sq.pol)
+	}
+	for name, opt := range map[string]StreamOption{
+		"WithRecvTimeout": WithRecvTimeout(time.Second),
+		"WithManifest":    WithManifest(Manifest{{ID: 1, Name: "c", Kind: "counter"}}),
+		"WithLateJoiners": WithLateJoiners(1),
+		"AsLateJoiner":    AsLateJoiner(),
+		"WithReceiver":    WithReceiver(RecvPolicy{}),
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), name) {
+					t.Errorf("%s: panic %v, want one naming the option", name, r)
+				}
+			}()
+			m.Endpoint(1, WithBatching(BatchPolicy{}), opt)
+		}()
 	}
 }
 

@@ -3,6 +3,7 @@ package transport
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"repro/internal/model"
 )
@@ -258,56 +259,51 @@ func (m *Mem) Clone() *Mem {
 
 // Endpoint returns node id's Transport view of the network: Broadcast queues
 // one clean copy per peer at the current tick, and Recv consumes the ready
-// frame with the smallest (arrival tick, MsgID) — a deterministic in-order
-// schedule, so the replica layer built for sockets can be unit-tested
-// reproducibly. The view shares the network's clock and queues; a waiting
-// Recv advances the virtual clock to the next arrival instead of blocking.
-func (m *Mem) Endpoint(id model.NodeID) Transport {
-	return m.BatchedEndpoint(id, BatchPolicy{})
-}
-
-// BatchedEndpoint returns node id's view with a write-batching policy: the
-// same flush triggers and Stats accounting the socket Stream keeps, minus
-// the delay timer (Mem runs on a virtual clock, so a pending batch waits
-// for a cap or an explicit Flush). Flushed frames all arrive at the flush
-// tick, in broadcast order — fully deterministic, so batched executions
-// replay byte-for-byte like unbatched ones. Each call creates a fresh view
-// with its own pending batch and counters.
-func (m *Mem) BatchedEndpoint(id model.NodeID, p BatchPolicy) Transport {
-	return m.SchedEndpoint(id, p, SchedPolicy{})
-}
-
-// SchedEndpoint returns node id's batched view with a per-object delivery
-// scheduler: flushes drain the per-object send queues into batch containers
-// by deficit-weighted round-robin, exactly as the socket Stream does under
-// WithScheduler — and fully deterministically, since the round-robin ring
-// order depends only on the broadcast sequence. Mem runs on a virtual clock,
-// so the per-object MaxDelay overrides (like BatchPolicy.MaxDelay) do not
-// apply: pending frames wait for a cap or an explicit Flush. The zero
-// SchedPolicy keeps the shared arrival-order drain.
-func (m *Mem) SchedEndpoint(id model.NodeID, p BatchPolicy, sp SchedPolicy) Transport {
-	return m.RecvEndpoint(id, p, sp, RecvPolicy{})
-}
-
-// RecvEndpoint returns node id's scheduled view with a receive pipeline
-// policy on top. Mem stays deterministic by construction: whatever Workers
-// asks for, the policy clamps to a single apply shard, so a Receiver over the
-// endpoint applies frames in the virtual clock's deterministic (arrival tick,
-// object, mid) order and reruns stay byte-identical. Mem endpoints are not
-// goroutine-safe — drive the phases sequentially (broadcast, then let the
-// pipeline drain) rather than concurrently.
-func (m *Mem) RecvEndpoint(id model.NodeID, p BatchPolicy, sp SchedPolicy, rp RecvPolicy) Transport {
+// frame with the smallest (arrival tick, object, MsgID) — a deterministic
+// in-order schedule, so the replica layer built for sockets can be
+// unit-tested reproducibly. The view shares the network's clock and queues;
+// a waiting Recv advances the virtual clock to the next arrival instead of
+// blocking. Each call creates a fresh view with its own pending batch and
+// counters.
+//
+// opts take the same WithBatching and WithScheduler values Listen does: the
+// same flush triggers, per-object drain and Stats accounting the socket
+// Stream keeps, minus the timers (Mem runs on a virtual clock, so
+// BatchPolicy.MaxDelay and the per-object MaxDelay overrides do not apply: a
+// pending batch waits for a cap or an explicit Flush). Flushed frames all
+// arrive at the flush tick, so batched executions replay byte-for-byte. The
+// other options configure sockets only: one that sets anything panics here,
+// naming the option, as an out-of-range node ID does.
+func (m *Mem) Endpoint(id model.NodeID, opts ...StreamOption) Transport {
 	if int(id) < 0 || int(id) >= m.n {
 		panic(fmt.Sprintf("transport: no such node %s", id))
 	}
-	rp = rp.normalized()
-	if rp.enabled() {
-		rp.Workers = 1 // one deterministic shard, whatever was asked
+	var cfg Stream
+	for _, o := range opts {
+		o(&cfg)
 	}
-	e := &memEndpoint{m: m, self: id, policy: p.normalized(), sq: newSched(sp, false), recvPol: rp}
+	var sockOpts []string
+	for _, o := range []struct {
+		name string
+		set  bool
+	}{
+		{"WithRecvTimeout", cfg.recvTimeout != 0},
+		{"WithManifest", cfg.man != nil},
+		{"WithLateJoiners", cfg.late != nil},
+		{"AsLateJoiner", cfg.joiner},
+		{"WithReceiver", cfg.recvPol != RecvPolicy{}},
+	} {
+		if o.set {
+			sockOpts = append(sockOpts, o.name)
+		}
+	}
+	if len(sockOpts) > 0 {
+		panic(fmt.Sprintf("transport: socket-only option(s) %s have no meaning on the in-memory network; a Mem endpoint takes WithBatching and WithScheduler",
+			strings.Join(sockOpts, ", ")))
+	}
+	e := &memEndpoint{m: m, self: id, policy: cfg.policy.normalized(), sq: newSched(cfg.schedPol, false)}
 	e.stats.Sent = make([]PeerIO, m.n)
 	e.stats.Recv = make([]PeerIO, m.n)
-	e.stats.Sched.Enabled = e.sq.drr
 	return e
 }
 
@@ -315,20 +311,10 @@ type memEndpoint struct {
 	m    *Mem
 	self model.NodeID
 
-	policy  BatchPolicy
-	sq      *sched
-	recvPol RecvPolicy
-	stats   Stats
+	policy BatchPolicy
+	sq     *sched
+	stats  Stats
 }
-
-// recvPolicy exposes the installed pipeline policy (the recvPolicied hook
-// Node.StartReceiver reads). Always single-shard on Mem.
-func (e *memEndpoint) recvPolicy() RecvPolicy { return e.recvPol }
-
-// serialRecv marks Mem endpoints as single-shard for NewReceiver: Mem is
-// deterministic by construction and not goroutine-safe, so the pipeline
-// applies on one shard whatever Workers asks for.
-func (e *memEndpoint) serialRecv() {}
 
 func (e *memEndpoint) Self() model.NodeID { return e.self }
 func (e *memEndpoint) N() int             { return e.m.n }

@@ -29,7 +29,7 @@ type Node struct {
 	peers map[ObjID]*Peer
 	order []ObjID
 
-	// pipe, once StartReceiver has run, owns the endpoint's receive side:
+	// pipe, once StartReceiver has run, owns the stream's receive side:
 	// inbound frames are dispatched to per-object apply shards instead of
 	// being pulled through Step. The peers map is frozen from that point
 	// (Register refuses), so the shard workers read it without locking.
@@ -105,27 +105,26 @@ func (n *Node) route(f Frame) error {
 	return p.Handle(f)
 }
 
-// StartReceiver starts the parallel receive pipeline over the shared
-// endpoint: inbound frames dispatch to per-object apply shards under the
-// endpoint's RecvPolicy (WithReceiver on streams, Mem.RecvEndpoint — where
-// the policy clamps to one deterministic shard). Register every object first;
-// afterwards the pipeline owns the receive side (Step refuses) and the
-// Await/AwaitCatchUp/RunToQuiescence loops wait on applied frames instead of
-// pumping. On a Mem endpoint start the receiver only once local invoking is
-// done — Mem endpoints are not goroutine-safe, and the single shard then
-// applies in the virtual clock's deterministic order.
+// StartReceiver starts the receive pipeline over the shared socket Stream:
+// inbound frames dispatch to per-object apply shards shaped by the stream's
+// RecvPolicy (WithReceiver; one shard without it). Register every object
+// first; afterwards the pipeline owns the receive side (Step refuses) and
+// the Await/AwaitCatchUp/RunToQuiescence loops wait on applied frames
+// instead of pumping. A Node over the in-memory network refuses with
+// ErrNotStream: Mem is pulled with Step, so a seeded schedule can interleave
+// deliveries with invokes deterministically.
 func (n *Node) StartReceiver() (*Receiver, error) {
 	if n.pipe != nil {
 		return nil, fmt.Errorf("transport: receiver already started")
 	}
-	rp, ok := n.t.(recvPolicied)
-	if !ok || !rp.recvPolicy().enabled() {
-		return nil, fmt.Errorf("transport: endpoint has no receive pipeline policy (WithReceiver on streams, Mem.RecvEndpoint)")
+	st, ok := n.t.(*Stream)
+	if !ok {
+		return nil, fmt.Errorf("%w (node endpoint is %T)", ErrNotStream, n.t)
 	}
 	if len(n.peers) == 0 {
 		return nil, fmt.Errorf("transport: register every object before starting the receiver")
 	}
-	n.pipe = NewReceiver(n.t, rp.recvPolicy(), n.route)
+	n.pipe = NewReceiver(st, st.recvPol, n.route)
 	return n.pipe, nil
 }
 
@@ -167,9 +166,9 @@ func (n *Node) CatchUp() error {
 	return nil
 }
 
-// AwaitCatchUp pumps the shared endpoint until every requested catch-up has
-// resolved or the deadline passes. Responses for different objects arrive
-// interleaved with live traffic; routing handles both.
+// AwaitCatchUp waits until every requested catch-up has resolved or the
+// deadline passes. Responses for different objects arrive interleaved with
+// live traffic; routing handles both.
 func (n *Node) AwaitCatchUp(deadline time.Duration) error {
 	// Collect the still-pending objects in registration order, so a
 	// timeout names exactly which catch-ups stalled (not just how many).
@@ -182,33 +181,14 @@ func (n *Node) AwaitCatchUp(deadline time.Duration) error {
 		}
 		return out
 	}
-	if n.pipe != nil {
-		return n.pipe.await(deadline,
-			func() bool { return len(stuck()) == 0 },
-			func() error {
-				return fmt.Errorf("transport: %w: object(s) %v still awaiting a snapshot response after %s", ErrTimeout, stuck(), deadline)
-			},
-			func() error {
-				return fmt.Errorf("transport: network drained while object(s) %v awaited snapshot responses", stuck())
-			})
-	}
-	limit := time.Now().Add(deadline)
-	for {
-		pending := stuck()
-		if len(pending) == 0 {
-			return nil
-		}
-		if time.Now().After(limit) {
-			return fmt.Errorf("transport: %w: object(s) %v still awaiting a snapshot response after %s", ErrTimeout, pending, deadline)
-		}
-		ok, err := n.Step(true)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return fmt.Errorf("transport: network drained while object(s) %v awaited snapshot responses", pending)
-		}
-	}
+	return n.wait(deadline,
+		func() bool { return len(stuck()) == 0 },
+		func() error {
+			return fmt.Errorf("transport: %w: object(s) %v still awaiting a snapshot response after %s", ErrTimeout, stuck(), deadline)
+		},
+		func() error {
+			return fmt.Errorf("transport: network drained while object(s) %v awaited snapshot responses", stuck())
+		})
 }
 
 // Quiesced reports whether every registered object is stable from this
@@ -222,51 +202,41 @@ func (n *Node) Quiesced() bool {
 	return true
 }
 
-// RunToQuiescence pumps the shared endpoint until every registered object
-// quiesces or the deadline passes. The pending batch is flushed first, as
-// each Peer does before blocking on its peers.
+// RunToQuiescence waits until every registered object quiesces or the
+// deadline passes. The pending batch is flushed first, as each Peer does
+// before blocking on its peers.
 func (n *Node) RunToQuiescence(deadline time.Duration) error {
 	if err := n.Flush(); err != nil {
 		return err
 	}
-	if n.pipe != nil {
-		return n.pipe.await(deadline, n.Quiesced,
-			func() error {
-				return fmt.Errorf("transport: %w: %d of %d objects not quiescent after %s",
-					ErrTimeout, n.unquiesced(), len(n.peers), deadline)
-			},
-			func() error {
-				return fmt.Errorf("transport: network drained but %d of %d objects not quiescent", n.unquiesced(), len(n.peers))
-			})
-	}
-	limit := time.Now().Add(deadline)
-	for !n.Quiesced() {
-		if time.Now().After(limit) {
+	return n.wait(deadline, n.Quiesced,
+		func() error {
 			return fmt.Errorf("transport: %w: %d of %d objects not quiescent after %s",
 				ErrTimeout, n.unquiesced(), len(n.peers), deadline)
-		}
-		ok, err := n.Step(true)
-		if err != nil {
-			return err
-		}
-		if !ok {
+		},
+		func() error {
 			return fmt.Errorf("transport: network drained but %d of %d objects not quiescent", n.unquiesced(), len(n.peers))
-		}
-	}
-	return nil
+		})
 }
 
-// Await blocks until pred holds, whatever owns the receive side: with the
-// pipeline started it waits on applied frames, otherwise it pumps Step like
-// the other loops. Use it for mesh-level conditions the built-in loops do not
-// cover (a hold-open barrier waiting for a late joiner's first frames, say).
+// Await blocks until pred holds. Use it for mesh-level conditions the
+// built-in loops do not cover (a hold-open barrier waiting for a late
+// joiner's first frames, say).
 func (n *Node) Await(deadline time.Duration, pred func() bool) error {
-	onTimeout := func() error {
-		return fmt.Errorf("transport: %w: awaited condition not met after %s", ErrTimeout, deadline)
-	}
-	onDrain := func() error {
-		return fmt.Errorf("transport: network drained before the awaited condition was met")
-	}
+	return n.wait(deadline, pred,
+		func() error {
+			return fmt.Errorf("transport: %w: awaited condition not met after %s", ErrTimeout, deadline)
+		},
+		func() error {
+			return fmt.Errorf("transport: network drained before the awaited condition was met")
+		})
+}
+
+// wait blocks until pred holds, whatever owns the receive side: with the
+// pipeline started it waits on applied frames, otherwise it pumps Step.
+// onTimeout and onDrain render the caller's failure messages: the deadline
+// passing, and the network draining for good with pred still false.
+func (n *Node) wait(deadline time.Duration, pred func() bool, onTimeout, onDrain func() error) error {
 	if n.pipe != nil {
 		return n.pipe.await(deadline, pred, onTimeout, onDrain)
 	}

@@ -11,19 +11,16 @@ import (
 	"time"
 )
 
-// RecvPolicy configures the parallel receive pipeline of an endpoint: frames
+// RecvPolicy configures the receive pipeline of a socket endpoint: frames
 // read off the wire are dispatched to per-object apply shards — a bounded
 // worker pool where every object ID is pinned to exactly one shard, so
 // per-object FIFO delivery (and with it causal hold-back, dedup, and snapshot
 // catch-up, all of which are per-object state) is untouched while distinct
-// objects apply concurrently.
-//
-// The zero policy disables the pipeline: frames are pulled and applied by the
-// caller's own Recv/Step loop, the exact legacy single-threaded behavior.
+// objects apply concurrently. The zero policy applies on one shard.
 type RecvPolicy struct {
 	// Workers is the number of apply shards (goroutines). Each object is
 	// pinned to shard obj mod Workers, so one object's frames always apply on
-	// one goroutine in arrival order. Workers < 1 disables the pipeline.
+	// one goroutine in arrival order. Workers < 1 means one shard.
 	Workers int
 	// QueueFrames bounds each shard's apply queue. A full queue blocks the
 	// dispatcher, which stops draining the endpoint — backpressure propagates
@@ -32,11 +29,11 @@ type RecvPolicy struct {
 	QueueFrames int
 }
 
-// normalized clamps the policy to its documented contract: Workers < 1 stays
-// disabled (the legacy pull path), QueueFrames < 1 takes the default.
+// normalized clamps the policy to its documented contract: Workers < 1
+// becomes one shard, QueueFrames < 1 takes the default.
 func (p RecvPolicy) normalized() RecvPolicy {
 	if p.Workers < 1 {
-		p.Workers = 0
+		p.Workers = 1
 	}
 	if p.QueueFrames < 1 {
 		p.QueueFrames = 64
@@ -44,37 +41,12 @@ func (p RecvPolicy) normalized() RecvPolicy {
 	return p
 }
 
-// enabled reports whether the policy asks for the pipeline at all.
-func (p RecvPolicy) enabled() bool { return p.Workers >= 1 }
-
-// recvPolicied is implemented by endpoints that carry a receive policy
-// (Stream via WithReceiver, Mem endpoints via RecvEndpoint). Node's
-// StartReceiver reads the policy from the endpoint so the pipeline shape is
-// configured where the endpoint is built, like every other transport policy.
-type recvPolicied interface {
-	recvPolicy() RecvPolicy
-}
-
 // pipeFrame is one decoded frame travelling through the pipeline together
-// with the release hook of the pooled container buffer its payload borrows
-// from (nil when the payload owns its bytes).
+// with the pooled container its payload borrows from (nil when the payload
+// owns its bytes).
 type pipeFrame struct {
-	f       Frame
-	release func()
-}
-
-// pipeSource is implemented by endpoints whose receive loop hands the
-// pipeline zero-copy frames with buffer-release hooks (the socket Stream).
-// Endpoints without it are drained through plain Recv.
-type pipeSource interface {
-	recvPipe(wait bool) (Frame, func(), bool, error)
-}
-
-// serialRecv marks endpoints that must apply on a single shard (Mem, which is
-// deterministic by construction and not goroutine-safe): NewReceiver clamps
-// Workers to 1 over them, whatever the policy asks for.
-type serialRecv interface {
-	serialRecv()
+	f   Frame
+	buf *rxBuf
 }
 
 // RecvShard is one apply shard's ledger.
@@ -129,19 +101,21 @@ func (s RecvStats) Balance(recvFrames int) error {
 	return nil
 }
 
-// Receiver runs the parallel receive pipeline over one endpoint: a dispatcher
-// goroutine drains the endpoint and routes each frame to its object's shard,
-// and each shard's worker applies frames in arrival order through the
-// handler. Build one with NewReceiver (custom handler) or Node.StartReceiver
-// (frames routed to the registered replicas). The pipeline owns the
-// endpoint's receive side: Recv/Step must not be called while it runs.
+// Receiver runs the receive pipeline over one socket Stream: a dispatcher
+// goroutine drains the stream's receive queue and routes each frame to its
+// object's shard, and each shard's worker applies frames in arrival order
+// through the handler. Build one with NewReceiver (custom handler) or
+// Node.StartReceiver (frames routed to the registered replicas). The
+// pipeline owns the stream's receive side: Recv and Step refuse while it
+// runs. The in-memory network has no receiver; it is pulled with Step, so
+// seeded schedules stay deterministic.
 //
 // The pipeline stops when the endpoint is exhausted (every peer hung up) or
 // closed, or when the handler returns an error; Done is closed once every
 // in-flight frame has been drained, and Err reports the first handler or
 // transport failure.
 type Receiver struct {
-	t      Transport
+	st     *Stream
 	pol    RecvPolicy
 	handle func(Frame) error
 
@@ -163,23 +137,25 @@ type Receiver struct {
 // dispatcher. handle is called for every received frame, on the shard its
 // object is pinned to; a frame's payload may borrow from a pooled receive
 // buffer, so a handler that retains it past the call must copy it (Peer does,
-// via Frame.Retain).
+// via Frame.Retain). t must be a *Stream whose receive side no other
+// Receiver owns; otherwise the pipeline stops at once and Err names why.
 func NewReceiver(t Transport, pol RecvPolicy, handle func(Frame) error) *Receiver {
 	pol = pol.normalized()
-	if !pol.enabled() {
-		pol.Workers = 1
-	}
-	if _, serial := t.(serialRecv); serial {
-		pol.Workers = 1 // one deterministic shard, whatever was asked
-	}
+	st, _ := t.(*Stream)
 	r := &Receiver{
-		t: t, pol: pol, handle: handle,
+		st: st, pol: pol, handle: handle,
 		shards:     make([]chan pipeFrame, pol.Workers),
 		applied:    make(chan struct{}, 1),
 		done:       make(chan struct{}),
 		dispatched: make([]atomic.Int64, pol.Workers),
 		appliedN:   make([]atomic.Int64, pol.Workers),
 		maxQueue:   make([]atomic.Int64, pol.Workers),
+	}
+	switch {
+	case st == nil:
+		r.stop(ErrNotStream)
+	case !st.owned.CompareAndSwap(false, true):
+		r.stop(errors.New("transport: the stream's receive side is already owned by another Receiver"))
 	}
 	var wg sync.WaitGroup
 	for i := range r.shards {
@@ -195,7 +171,7 @@ func NewReceiver(t Transport, pol RecvPolicy, handle func(Frame) error) *Receive
 	return r
 }
 
-// pump drains the endpoint and dispatches each frame to its object's shard.
+// pump drains the stream and dispatches each frame to its object's shard.
 // A full shard queue blocks the dispatch — and with it the drain, which is
 // the backpressure contract. Receive timeouts are not failures here (the
 // pipeline idles between bursts; deadlines belong to the waiters), so the
@@ -206,19 +182,11 @@ func (r *Receiver) pump() {
 			close(ch)
 		}
 	}()
-	src, zeroCopy := r.t.(pipeSource)
+	if r.Err() != nil {
+		return // refused at construction
+	}
 	for {
-		var (
-			f       Frame
-			release func()
-			ok      bool
-			err     error
-		)
-		if zeroCopy {
-			f, release, ok, err = src.recvPipe(true)
-		} else {
-			f, ok, err = r.t.Recv(true)
-		}
+		pf, _, err := r.st.next(true)
 		if err != nil {
 			switch {
 			case errors.Is(err, ErrTimeout):
@@ -230,26 +198,21 @@ func (r *Receiver) pump() {
 			}
 			return
 		}
-		if !ok {
-			// A drained deterministic endpoint (Mem at quiescence).
-			r.stop(nil)
-			return
-		}
-		if release != nil && f.Kind != KindEffector {
+		if pf.f.Kind != KindEffector {
 			// Non-effector payloads can outlive the handler call (a decoded
 			// snapshot state, the suffix frames nested in it): detach them
 			// from the pooled container buffer. They are rare — snapshots and
 			// done announcements — so the copy does not show on the hot path.
-			f.Payload = append([]byte(nil), f.Payload...)
-			release()
-			release = nil
+			pf.f.Payload = append([]byte(nil), pf.f.Payload...)
+			pf.buf.release()
+			pf.buf = nil
 		}
-		shard := int(uint64(f.Obj) % uint64(len(r.shards)))
+		shard := int(uint64(pf.f.Obj) % uint64(len(r.shards)))
 		r.dispatched[shard].Add(1)
 		if d := int64(len(r.shards[shard])) + 1; d > r.maxQueue[shard].Load() {
 			r.maxQueue[shard].Store(d)
 		}
-		r.shards[shard] <- pipeFrame{f: f, release: release}
+		r.shards[shard] <- pf
 	}
 }
 
@@ -267,9 +230,7 @@ func (r *Receiver) worker(i int, wg *sync.WaitGroup) {
 	haveObj := false
 	for pf := range r.shards[i] {
 		if r.broken.Load() {
-			if pf.release != nil {
-				pf.release()
-			}
+			pf.buf.release()
 			continue
 		}
 		if !haveObj || pf.f.Obj != lastObj {
@@ -278,9 +239,7 @@ func (r *Receiver) worker(i int, wg *sync.WaitGroup) {
 				pprof.Labels("transport-recv-obj", strconv.FormatUint(uint64(lastObj), 10))))
 		}
 		err := r.handle(pf.f)
-		if pf.release != nil {
-			pf.release()
-		}
+		pf.buf.release()
 		if err != nil {
 			r.stop(err)
 		} else {

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -74,11 +75,6 @@ func TestReceiverStreamOrderAndBalance(t *testing.T) {
 	defer ends[0].Close()
 	defer ends[1].Close()
 
-	// The pipeline owns the receive side: a stray Recv must refuse loudly.
-	if _, _, err := ends[1].Recv(false); err == nil || !strings.Contains(err.Error(), "pipeline") {
-		t.Fatalf("Recv on a pipelined endpoint: err = %v, want pipeline refusal", err)
-	}
-
 	var mu sync.Mutex
 	seq := make(map[transport.ObjID][]model.MsgID)
 	r := transport.NewReceiver(ends[1], transport.RecvPolicy{Workers: shards, QueueFrames: 16}, func(f transport.Frame) error {
@@ -92,6 +88,16 @@ func TestReceiverStreamOrderAndBalance(t *testing.T) {
 		mu.Unlock()
 		return nil
 	})
+	// The pipeline owns the receive side: a stray Recv, or a second
+	// Receiver, must refuse loudly.
+	if _, _, err := ends[1].Recv(false); err == nil || !strings.Contains(err.Error(), "pipeline") {
+		t.Fatalf("Recv on a pipelined endpoint: err = %v, want pipeline refusal", err)
+	}
+	second := transport.NewReceiver(ends[1], transport.RecvPolicy{}, func(transport.Frame) error { return nil })
+	<-second.Done()
+	if err := second.Err(); err == nil || !strings.Contains(err.Error(), "already owned") {
+		t.Fatalf("second Receiver on one stream: err = %v, want ownership refusal", err)
+	}
 
 	for i := 0; i < total; i++ {
 		mid := model.MsgID(i + 1)
@@ -235,68 +241,6 @@ func TestReceiverBackpressureStream(t *testing.T) {
 	}
 }
 
-// TestReceiverBackpressureMem pins the same contract on the deterministic Mem
-// transport: the clamped single shard applies in the virtual clock's order,
-// bounded by the queue, dropping and reordering nothing — and a rerun applies
-// the identical sequence.
-func TestReceiverBackpressureMem(t *testing.T) {
-	run := func() ([]string, transport.RecvStats, int) {
-		const perObj = 20
-		m := transport.NewMem(2)
-		e0 := m.RecvEndpoint(0, transport.BatchPolicy{}, transport.SchedPolicy{}, transport.RecvPolicy{})
-		e1 := m.RecvEndpoint(1, transport.BatchPolicy{}, transport.SchedPolicy{}, transport.RecvPolicy{Workers: 4, QueueFrames: 4})
-		for i := 0; i < perObj; i++ {
-			for o := transport.ObjID(0); o < 2; o++ {
-				f := transport.Frame{
-					Kind: transport.KindEffector, Obj: o,
-					MID: model.MsgID(i*2 + int(o) + 1), From: 0,
-					Payload: []byte{byte(i)},
-				}
-				if err := e0.Broadcast(f); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		var mu sync.Mutex
-		var order []string
-		r := transport.NewReceiver(e1, transport.RecvPolicy{Workers: 4, QueueFrames: 4}, func(f transport.Frame) error {
-			if f.Obj == 0 {
-				time.Sleep(time.Millisecond)
-			}
-			mu.Lock()
-			order = append(order, fmt.Sprintf("%d/%d", f.Obj, f.MID))
-			mu.Unlock()
-			return nil
-		})
-		select {
-		case <-r.Done():
-		case <-time.After(15 * time.Second):
-			t.Fatal("Mem pipeline did not drain")
-		}
-		if err := r.Err(); err != nil {
-			t.Fatal(err)
-		}
-		return order, r.Stats(), e1.(transport.StatsReporter).Stats().TotalRecv().Frames
-	}
-
-	order1, st, recvFrames := run()
-	if st.Workers != 1 {
-		t.Fatalf("Mem pipeline ran %d shards, want the deterministic 1", st.Workers)
-	}
-	if err := st.Balance(recvFrames); err != nil {
-		t.Fatal(err)
-	}
-	for _, sh := range st.Shards {
-		if sh.MaxQueue > 4+1 {
-			t.Errorf("max queue depth %d exceeds the bound %d", sh.MaxQueue, 4+1)
-		}
-	}
-	order2, _, _ := run()
-	if strings.Join(order1, " ") != strings.Join(order2, " ") {
-		t.Fatalf("Mem pipeline reruns diverged:\n  %v\n  %v", order1, order2)
-	}
-}
-
 // TestNodePipelineMeshConverges is the replica-layer integration: three OS
 // sockets-mesh nodes replicate four mixed-kind objects with the receive
 // pipeline applying concurrently against live Invokes on the owning
@@ -410,10 +354,53 @@ func TestNodePipelineMeshConverges(t *testing.T) {
 	}
 }
 
-// TestStartReceiverRequiresPolicy pins the gating: no RecvPolicy on the
-// endpoint (or a zero policy) means no pipeline, and the legacy pull path
-// stays the only receive side.
-func TestStartReceiverRequiresPolicy(t *testing.T) {
+// TestReceiverWithoutReceiverOption pins that the pipeline needs no
+// WithReceiver: over a Stream built with no options, NewReceiver applies
+// every frame, its ledger balances against the wire, and Done closes once
+// the stream is closed.
+func TestReceiverWithoutReceiverOption(t *testing.T) {
+	const total = 50
+	addrs := testMeshAddrs(t, 2)
+	ends := listenMesh(t, addrs, [][]transport.StreamOption{nil, nil})
+	defer ends[0].Close()
+	defer ends[1].Close()
+	var applied atomic.Int64
+	all := make(chan struct{})
+	r := transport.NewReceiver(ends[1], transport.RecvPolicy{}, func(f transport.Frame) error {
+		if applied.Add(1) == total {
+			close(all)
+		}
+		return nil
+	})
+	for i := 0; i < total; i++ {
+		f := transport.Frame{Kind: transport.KindEffector, MID: model.MsgID(i + 1), From: 0, Payload: []byte{byte(i)}}
+		if err := ends[0].Broadcast(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	select {
+	case <-all:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("pipeline applied %d/%d frames before the deadline", applied.Load(), total)
+	}
+	ends[1].Close()
+	select {
+	case <-r.Done():
+	case <-time.After(10 * time.Second):
+		t.Fatal("Done did not close after Close")
+	}
+	if err := r.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Stats().Balance(ends[1].Stats().TotalRecv().Frames); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestStartReceiverRefusesMem pins that the in-memory network has no
+// receive pipeline: StartReceiver on a Node over Mem refuses, and
+// NewReceiver over a Mem endpoint stops at once, both with ErrNotStream.
+func TestStartReceiverRefusesMem(t *testing.T) {
 	m := transport.NewMem(2)
 	n, err := transport.NewNode(m.Endpoint(0), nil)
 	if err != nil {
@@ -423,21 +410,20 @@ func TestStartReceiverRequiresPolicy(t *testing.T) {
 	if _, err := n.Register(0, alg.New(), alg.DecodeEffector, alg.NeedsCausal); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := n.StartReceiver(); err == nil {
-		t.Fatal("StartReceiver without a receive policy did not refuse")
-	}
-	zero, err := transport.NewNode(m.RecvEndpoint(1, transport.BatchPolicy{}, transport.SchedPolicy{}, transport.RecvPolicy{}), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := zero.Register(0, alg.New(), alg.DecodeEffector, alg.NeedsCausal); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := zero.StartReceiver(); err == nil {
-		t.Fatal("StartReceiver with the zero policy did not refuse")
+	if _, err := n.StartReceiver(); !errors.Is(err, transport.ErrNotStream) {
+		t.Fatalf("StartReceiver over Mem: err = %v, want ErrNotStream", err)
 	}
 	if n.Receiver() != nil {
-		t.Fatal("Receiver() non-nil before StartReceiver")
+		t.Fatal("Receiver() non-nil after a refused StartReceiver")
+	}
+	r := transport.NewReceiver(m.Endpoint(1), transport.RecvPolicy{Workers: 4}, func(transport.Frame) error { return nil })
+	select {
+	case <-r.Done():
+	case <-time.After(5 * time.Second):
+		t.Fatal("NewReceiver over Mem did not stop")
+	}
+	if err := r.Err(); !errors.Is(err, transport.ErrNotStream) {
+		t.Fatalf("NewReceiver over Mem: err = %v, want ErrNotStream", err)
 	}
 }
 

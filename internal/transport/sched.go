@@ -7,10 +7,10 @@ import (
 )
 
 // SchedPolicy configures the per-object delivery scheduler of a batching
-// endpoint. Without one, queued broadcasts drain in arrival order (one shared
-// FIFO — the historical behaviour). With one, every object gets its own send
-// queue and a flush drains the queues into batch containers by
-// deficit-weighted round-robin:
+// endpoint. Every object gets its own send queue and a flush drains the
+// queues into batch containers by deficit-weighted round-robin; the zero
+// policy weighs every object 1 and packs the whole backlog into one
+// container:
 //
 //   - Weights biases the drain: each round-robin visit grants an object a
 //     deficit of Weights[obj] frames (DefaultWeight for objects not listed,
@@ -25,8 +25,7 @@ import (
 //     Mem transport there are no timers, so (like BatchPolicy.MaxDelay) the
 //     overrides do not apply there.
 //   - ChunkFrames caps the frames packed into one wire container during a
-//     drain (0 = the whole backlog in one container, the historical
-//     behaviour). Smaller chunks put the weighted order on the wire sooner:
+//     drain (0 = the whole backlog in one container). Smaller chunks put the weighted order on the wire sooner:
 //     the first containers of a drain carry the high-weight objects' frames.
 //
 // The wire format is untouched — scheduling only reorders which frames land
@@ -36,12 +35,6 @@ type SchedPolicy struct {
 	MaxDelay      map[ObjID]time.Duration
 	DefaultWeight int
 	ChunkFrames   int
-}
-
-// enabled reports whether the policy asks for scheduling at all. The zero
-// value keeps the shared-FIFO drain.
-func (p SchedPolicy) enabled() bool {
-	return len(p.Weights) > 0 || len(p.MaxDelay) > 0 || p.DefaultWeight > 0 || p.ChunkFrames > 0
 }
 
 // normalized clamps the policy to its documented contract: weights below 1
@@ -122,22 +115,16 @@ type objQueue struct {
 
 func (q *objQueue) pending() int { return len(q.items) - q.head }
 
-// sched is the pending-broadcast store of a batching endpoint: either one
-// shared FIFO (no SchedPolicy — the historical drain order) or per-object
+// sched is the pending-broadcast store of a batching endpoint: per-object
 // queues drained by deficit-weighted round-robin. It is not safe for
 // concurrent use; the owning endpoint serializes access (Stream under its
 // mutex, Mem endpoints single-threaded).
 type sched struct {
 	pol    SchedPolicy
-	drr    bool // per-object queues + DRR drain (a SchedPolicy is installed)
 	sample bool // stamp enqueue times for the delay histogram
 
-	// Shared-FIFO storage (drr == false).
-	fifo     []schedItem
-	fifoHead int
-
-	// Per-object storage (drr == true): ring holds the non-empty queues in
-	// first-activation order, rr the persistent round-robin pointer.
+	// ring holds the non-empty queues in first-activation order, rr the
+	// persistent round-robin pointer.
 	queues map[ObjID]*objQueue
 	ring   []*objQueue
 	rr     int
@@ -147,36 +134,26 @@ type sched struct {
 }
 
 func newSched(pol SchedPolicy, sample bool) *sched {
-	enabled := pol.enabled()
-	s := &sched{pol: pol.normalized(), drr: enabled, sample: sample && enabled}
-	if enabled {
-		s.queues = map[ObjID]*objQueue{}
-	}
-	return s
+	return &sched{pol: pol.normalized(), sample: sample, queues: map[ObjID]*objQueue{}}
 }
 
 // enqueue appends one item to its queue.
 func (s *sched) enqueue(it schedItem) {
-	if !s.drr {
-		s.fifo = append(s.fifo, it)
-	} else {
-		q := s.queues[it.obj]
-		if q == nil {
-			q = &objQueue{id: it.obj}
-			s.queues[it.obj] = q
-		}
-		if !q.active {
-			q.active = true
-			s.ring = append(s.ring, q)
-		}
-		q.items = append(q.items, it)
+	q := s.queues[it.obj]
+	if q == nil {
+		q = &objQueue{id: it.obj}
+		s.queues[it.obj] = q
 	}
+	if !q.active {
+		q.active = true
+		s.ring = append(s.ring, q)
+	}
+	q.items = append(q.items, it)
 	s.pendN++
 	s.pendBytes += it.wire
 }
 
-// objPending returns one object's queued frame count (DRR mode only; the
-// shared FIFO does not track per-object membership).
+// objPending returns one object's queued frame count.
 func (s *sched) objPending(id ObjID) int {
 	if q := s.queues[id]; q != nil {
 		return q.pending()
@@ -214,9 +191,8 @@ func fits(n, bytes, wire, limitFrames, limitBytes int) bool {
 	return limitBytes <= 0 || bytes+wire <= limitBytes
 }
 
-// drainChunk removes and returns the next container's worth of items:
-// arrival order on the shared FIFO, deficit-weighted round-robin across the
-// per-object queues. limitFrames caps the frames per container (0 = all),
+// drainChunk removes and returns the next container's worth of items,
+// deficit-weighted round-robin across the per-object queues. limitFrames caps the frames per container (0 = all),
 // limitBytes the summed item cost (0 = no cap; a single oversized item still
 // ships alone). Returns nil when nothing is pending.
 func (s *sched) drainChunk(limitFrames, limitBytes int) []schedItem {
@@ -229,25 +205,6 @@ func (s *sched) drainChunk(limitFrames, limitBytes int) []schedItem {
 	}
 	out := make([]schedItem, 0, max)
 	bytes := 0
-	if !s.drr {
-		for s.fifoHead < len(s.fifo) {
-			it := s.fifo[s.fifoHead]
-			if !fits(len(out), bytes, it.wire, limitFrames, limitBytes) {
-				break
-			}
-			s.fifo[s.fifoHead] = schedItem{}
-			s.fifoHead++
-			out = append(out, it)
-			bytes += it.wire
-			s.pendN--
-			s.pendBytes -= it.wire
-		}
-		if s.fifoHead == len(s.fifo) {
-			s.fifo = s.fifo[:0]
-			s.fifoHead = 0
-		}
-		return out
-	}
 	for s.pendN > 0 && len(s.ring) > 0 {
 		q := s.ring[s.rr]
 		if q.pending() == 0 {
@@ -282,8 +239,7 @@ func (s *sched) drainChunk(limitFrames, limitBytes int) []schedItem {
 }
 
 // drainObj removes and returns up to one container's worth of items from a
-// single object's queue — the per-object max-delay flush path. Only
-// meaningful in DRR mode.
+// single object's queue — the per-object max-delay flush path.
 func (s *sched) drainObj(id ObjID, limitFrames, limitBytes int) []schedItem {
 	q := s.queues[id]
 	if q == nil || q.pending() == 0 {
@@ -363,7 +319,7 @@ type SchedObj struct {
 	// object's max-delay deadline (the per-object QoS override, or the
 	// shared MaxDelay without one).
 	CapFlushes, DeadlineFlushes int
-	// Delay histogram (socket endpoints with a SchedPolicy only): the
+	// Delay histogram (socket endpoints only): the
 	// enqueue→wire latency of each drained frame, in ~12.5%-resolution
 	// power-of-two buckets.
 	DelaySamples int
@@ -402,11 +358,7 @@ func (o *SchedObj) DelayQuantile(q float64) time.Duration {
 }
 
 // SchedStats is the per-object scheduler section of an endpoint's Stats.
-// Enabled reports whether a SchedPolicy is installed (DRR drain and deadline
-// overrides active); the ledger itself is kept either way, so the balance
-// invariants hold on unscheduled endpoints too.
 type SchedStats struct {
-	Enabled bool
 	Objects map[ObjID]*SchedObj
 }
 

@@ -72,20 +72,17 @@ func TestSchedDrainByteSplit(t *testing.T) {
 	}
 }
 
-// TestSchedFIFOFallback pins the compatibility mode: without a SchedPolicy
-// the drain is the arrival order across objects, one container when no chunk
-// limit applies.
-func TestSchedFIFOFallback(t *testing.T) {
+// TestSchedZeroPolicyDRR pins the zero policy: every object weighs 1, so
+// the drain takes one frame per object per round in first-activation order,
+// and the whole backlog lands in one container when no chunk limit applies.
+func TestSchedZeroPolicyDRR(t *testing.T) {
 	s := newSched(SchedPolicy{}, false)
-	if s.drr {
-		t.Fatal("zero policy enabled DRR")
-	}
 	for i, obj := range []ObjID{3, 1, 2, 1, 3} {
 		s.enqueue(item(obj, 10+i))
 	}
 	got := drainObjs(s.drainChunk(0, 0))
-	if want := []ObjID{3, 1, 2, 1, 3}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("FIFO drain order %v, want %v", got, want)
+	if want := []ObjID{3, 1, 2, 3, 1}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("zero-policy drain order %v, want %v", got, want)
 	}
 	if s.pendN != 0 {
 		t.Fatalf("pendN = %d after drain", s.pendN)
@@ -280,7 +277,7 @@ func TestStreamQuietDeadlineOverride(t *testing.T) {
 func TestMemSchedulerDeterminism(t *testing.T) {
 	run := func() (order []string, st Stats) {
 		m := NewMem(2)
-		e := m.SchedEndpoint(0, BatchPolicy{MaxFrames: 4}, SchedPolicy{Weights: map[ObjID]int{1: 1, 2: 3}, ChunkFrames: 2})
+		e := m.Endpoint(0, WithBatching(BatchPolicy{MaxFrames: 4}), WithScheduler(SchedPolicy{Weights: map[ObjID]int{1: 1, 2: 3}, ChunkFrames: 2}))
 		r := m.Endpoint(1)
 		mids := map[ObjID]model.MsgID{}
 		send := func(obj ObjID) {

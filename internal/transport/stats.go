@@ -148,7 +148,7 @@ func (s *Stats) noteRecv(peer model.NodeID, batches, wireBytes int, objs []ObjID
 }
 
 // noteRecvDropped retracts frames a closing endpoint counted received but
-// never handed to the receive pipeline: they can never be dispatched, so
+// never handed to its receive queue: they can never be dispatched, so
 // leaving them in the ledger would break the received == dispatched ==
 // applied audit (RecvStats.Balance). Batch and byte counters stay — the
 // container did cross the wire.

@@ -43,8 +43,8 @@ type Stream struct {
 	mu    sync.Mutex // guards conns' write side and the pending queues
 	conns []net.Conn // indexed by peer node ID; nil at self
 
-	// Pending broadcasts: per-object send queues (or one shared FIFO without
-	// a SchedPolicy) drained into batch containers by flushAllLocked /
+	// Pending broadcasts: per-object send queues drained into batch
+	// containers by flushAllLocked /
 	// flushObjLocked. deadlines holds each object's armed flush deadline and
 	// flushTimer fires at the earliest of them (timerAt). Guarded by mu.
 	policy     BatchPolicy
@@ -76,23 +76,21 @@ type Stream struct {
 	joiner      bool
 	startupDone chan struct{}
 
-	frames chan Frame
 	errs   chan error
 	closed chan struct{}
 	once   sync.Once
 	wg     sync.WaitGroup
 
-	// Receive pipeline (WithReceiver): when the policy is enabled the receive
-	// loops decode into pooled buffers and push zero-copy frames with release
-	// hooks onto pframes instead of copying into the legacy frames channel;
-	// Recv is then owned by the pipeline's dispatcher (recvPipe). recvWG and
-	// recvsDone implement the close-drain handshake: recvPipe keeps consuming
-	// after Close until every receive loop has exited (each having handed over
-	// or retracted its in-flight batch), so the dispatched ledger matches the
-	// wire ledger exactly and no frame is stranded in pframes.
+	// Receive side: the receive loops decode batch containers zero-copy
+	// (into pooled buffers once owned) and push the frames onto queue, which
+	// next drains — for a Receiver (recvPol shapes its shards; owned marks
+	// the queue taken) or for Recv. recvsDone closes once every receive loop has exited after
+	// Close, each having handed over or retracted its in-flight batch: next
+	// keeps consuming until then, so the dispatched ledger matches the wire
+	// ledger exactly and no frame is stranded in queue.
 	recvPol   RecvPolicy
-	pframes   chan pipeFrame
-	recvWG    sync.WaitGroup
+	queue     chan pipeFrame
+	owned     atomic.Bool
 	recvsDone chan struct{}
 
 	// hung counts peer connections that ended cleanly (EOF after all their
@@ -141,29 +139,22 @@ func WithBatching(p BatchPolicy) StreamOption {
 	return func(s *Stream) { s.policy = p.normalized() }
 }
 
-// WithScheduler installs a per-object delivery scheduler: each object's
+// WithScheduler tunes the per-object delivery scheduler: each object's
 // broadcasts queue separately, flushes drain the queues into batch containers
 // by deficit-weighted round-robin, and per-object MaxDelay overrides can
 // force an object's frames onto the wire earlier than the shared
 // BatchPolicy.MaxDelay — without flushing anyone else's pending batch. See
-// SchedPolicy. Without the option, queued broadcasts drain in arrival order.
+// SchedPolicy. Without the option every object weighs 1.
 func WithScheduler(p SchedPolicy) StreamOption {
 	return func(s *Stream) { s.schedPol = p.normalized() }
 }
 
-// WithReceiver installs a parallel receive pipeline policy (see RecvPolicy):
-// the receive loops decode batch containers into pooled buffers, and
-// Node.StartReceiver (or NewReceiver directly) dispatches the frames to
-// per-object apply shards. With the pipeline enabled Recv is owned by the
-// dispatcher and must not be called by anyone else. The zero policy leaves
-// the legacy pull path untouched.
+// WithReceiver shapes the receive pipeline Node.StartReceiver runs (see
+// RecvPolicy): the number of per-object apply shards and their queue bound.
+// Without the option the pipeline applies on one shard.
 func WithReceiver(p RecvPolicy) StreamOption {
 	return func(s *Stream) { s.recvPol = p.normalized() }
 }
-
-// recvPolicy exposes the installed pipeline policy (the recvPolicied hook
-// Node.StartReceiver reads).
-func (s *Stream) recvPolicy() RecvPolicy { return s.recvPol }
 
 // WithManifest declares the object manifest of a multiplexed mesh: every
 // handshake carries the manifest's canonical encoding, and both ends require
@@ -231,8 +222,10 @@ func Listen(self model.NodeID, addrs []string, opts ...StreamOption) (*Stream, e
 		self:        self,
 		recvTimeout: 30 * time.Second,
 		policy:      BatchPolicy{MaxFrames: 1},
+		recvPol:     RecvPolicy{}.normalized(),
 		conns:       make([]net.Conn, len(addrs)),
-		frames:      make(chan Frame, 64),
+		queue:       make(chan pipeFrame, 64),
+		recvsDone:   make(chan struct{}),
 		errs:        make(chan error, len(addrs)),
 		closed:      make(chan struct{}),
 		startupDone: make(chan struct{}),
@@ -244,17 +237,7 @@ func Listen(self model.NodeID, addrs []string, opts ...StreamOption) (*Stream, e
 		o(s)
 	}
 	s.sq = newSched(s.schedPol, true)
-	s.stats.Sched.Enabled = s.sq.drr
 	s.deadlines = map[ObjID]time.Time{}
-	if s.recvPol.enabled() {
-		s.pframes = make(chan pipeFrame, 64)
-		s.recvsDone = make(chan struct{})
-		go func() {
-			<-s.closed
-			s.recvWG.Wait()
-			close(s.recvsDone)
-		}()
-	}
 	if err := s.man.Validate(); err != nil {
 		return nil, err
 	}
@@ -402,23 +385,21 @@ func (s *Stream) acceptLoop(acceptCh chan<- accepted, startupDeadline time.Time)
 
 // admit installs one handshaked peer connection and starts its receive
 // loop. It refuses duplicates and admissions after Close (the caller closes
-// the connection).
+// the connection). The loop joins wg under mu, the lock Close closes the
+// endpoint under, so Close always waits for it.
 func (s *Stream) admit(peer model.NodeID, c net.Conn) bool {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	select {
 	case <-s.closed:
-		s.mu.Unlock()
 		return false
 	default:
 	}
 	if s.conns[peer] != nil {
-		s.mu.Unlock()
 		return false
 	}
 	s.conns[peer] = c
-	s.mu.Unlock()
 	s.wg.Add(1)
-	s.recvWG.Add(1)
 	go s.recvLoop(peer, c)
 	return true
 }
@@ -594,10 +575,8 @@ func (b oneByteReader) ReadByte() (byte, error) {
 // against a corrupted length prefix allocating unboundedly).
 const maxWireFrame = 16 << 20
 
-// bufPool recycles the transport's scratch buffers: broadcast envelope
-// encodings on the send side and, in pipeline mode, whole batch containers on
-// the receive side (released once every frame decoded from the container has
-// been applied). Pointers to slices, so a Get/Put cycle does not allocate a
+// bufPool recycles the send side's scratch buffers: broadcast envelope
+// encodings. Pointers to slices, so a Get/Put cycle does not allocate a
 // slice header.
 var bufPool = sync.Pool{New: func() any { return new([]byte) }}
 
@@ -618,15 +597,33 @@ func poolPut(bp *[]byte, grown []byte) {
 	bufPool.Put(bp)
 }
 
+// rxBuf is one pooled batch container: the bytes its decoded frames alias,
+// and the number of those frames not yet released. A Receiver releases each
+// frame once applied and the last release recycles the container. Containers
+// read while no Receiver owns the stream are plain allocations with no rxBuf
+// (nil): Recv never releases, so the frames it returns may be kept.
+type rxBuf struct {
+	b    []byte
+	refs atomic.Int32
+}
+
+var rxPool = sync.Pool{New: func() any { return new(rxBuf) }}
+
+// release drops one frame's hold on the container; a nil container is not
+// pooled and needs no release.
+func (c *rxBuf) release() {
+	if c != nil && c.refs.Add(-1) == 0 {
+		rxPool.Put(c)
+	}
+}
+
 // recvLoop reads batch containers from one peer connection and feeds their
-// frames into the shared channel. A nested frame rejected by its own
-// checksum is dropped and counted (FramesRejected) while the rest of the
-// batch still delivers; structural corruption of the container ends the
-// connection with an error.
+// frames into the shared queue, decoded zero-copy: each frame aliases its
+// container buffer. A nested frame rejected by its own checksum is dropped
+// and counted (FramesRejected) while the rest of the batch still delivers;
+// structural corruption of the container ends the connection with an error.
 func (s *Stream) recvLoop(peer model.NodeID, c net.Conn) {
 	defer s.wg.Done()
-	defer s.recvWG.Done()
-	pipelined := s.pframes != nil
 	br := bufio.NewReader(c)
 	for {
 		n, err := binary.ReadUvarint(br)
@@ -634,20 +631,21 @@ func (s *Stream) recvLoop(peer model.NodeID, c net.Conn) {
 			err = fmt.Errorf("%w: %d-byte batch container exceeds the %d cap", codec.ErrCorrupt, n, maxWireFrame)
 		}
 		var frames []Frame
-		var bp *[]byte // pooled container buffer (pipeline mode only)
+		var rb *rxBuf
 		if err == nil {
-			var buf []byte
-			if pipelined {
-				// Zero-copy decode: read the container into a pooled buffer and
-				// let the decoded frames alias it; the buffer goes back to the
-				// pool once every frame's apply has released it.
-				bp = poolGet(int(n))
-				buf = (*bp)[:n]
+			var b []byte
+			if s.owned.Load() {
+				rb = rxPool.Get().(*rxBuf)
+				if uint64(cap(rb.b)) < n {
+					rb.b = make([]byte, n)
+				}
+				b = rb.b[:n]
+				rb.b = b
 			} else {
-				buf = make([]byte, n)
+				b = make([]byte, n)
 			}
-			if _, err = io.ReadFull(br, buf); err == nil {
-				frames, err = DecodeBatch(buf)
+			if _, err = io.ReadFull(br, b); err == nil {
+				frames, err = DecodeBatch(b)
 			}
 		}
 		var bad *BatchError
@@ -660,8 +658,8 @@ func (s *Stream) recvLoop(peer model.NodeID, c net.Conn) {
 			err = nil
 		}
 		if err != nil {
-			if bp != nil {
-				poolPut(bp, *bp)
+			if rb != nil {
+				rxPool.Put(rb)
 			}
 			select {
 			case <-s.closed:
@@ -692,39 +690,26 @@ func (s *Stream) recvLoop(peer model.NodeID, c net.Conn) {
 		s.statsMu.Lock()
 		s.stats.noteRecv(peer, 1, uvarintLen(n)+int(n), objs)
 		s.statsMu.Unlock()
-		if pipelined {
-			if len(frames) == 0 {
-				poolPut(bp, *bp)
-				continue
-			}
-			// One reference per decoded frame: the container buffer is
-			// recycled when the last frame's handler releases it.
-			refs := int32(len(frames))
-			release := func() {
-				if atomic.AddInt32(&refs, -1) == 0 {
-					poolPut(bp, *bp)
-				}
-			}
-			for i, f := range frames {
-				select {
-				case s.pframes <- pipeFrame{f: f, release: release}:
-				case <-s.closed:
-					// Closing: the dispatcher keeps draining until every
-					// receive loop exits, so anything not handed over now
-					// will never be dispatched — retract it from the wire
-					// ledger (Balance audits received == dispatched).
-					s.statsMu.Lock()
-					s.stats.noteRecvDropped(peer, objs[i:])
-					s.statsMu.Unlock()
-					return
-				}
+		if len(frames) == 0 {
+			if rb != nil {
+				rxPool.Put(rb)
 			}
 			continue
 		}
-		for _, f := range frames {
+		if rb != nil {
+			rb.refs.Store(int32(len(frames)))
+		}
+		for i, f := range frames {
 			select {
-			case s.frames <- f:
+			case s.queue <- pipeFrame{f: f, buf: rb}:
 			case <-s.closed:
+				// Closing: next keeps draining until every receive loop
+				// exits, so anything not handed over now will never be
+				// consumed — retract it from the wire ledger (Balance audits
+				// received == dispatched).
+				s.statsMu.Lock()
+				s.stats.noteRecvDropped(peer, objs[i:])
+				s.statsMu.Unlock()
 				return
 			}
 		}
@@ -748,7 +733,7 @@ func (s *Stream) Self() model.NodeID { return s.self }
 func (s *Stream) N() int { return len(s.addrs) }
 
 // Broadcast queues one frame for every peer: encoded once into its object's
-// send queue (or the shared FIFO without a SchedPolicy), drained when a
+// send queue, drained when a
 // policy trigger fires (frame cap, byte cap, the object's flush deadline, an
 // explicit Flush, or Close). With the default policy the frame flushes
 // immediately, one container per frame.
@@ -840,9 +825,9 @@ func (s *Stream) stopTimerLocked() {
 }
 
 // onDeadline is the flush-timer callback: it drains every object whose
-// deadline has passed — only that object's queue under a SchedPolicy, so the
-// other objects keep batching — then re-arms for the earliest remaining
-// deadline. A cap-triggered flush in between leaves it nothing to do.
+// deadline has passed — only that object's queue, so the other objects keep
+// batching — then re-arms for the earliest remaining deadline. A
+// cap-triggered flush in between leaves it nothing to do.
 func (s *Stream) onDeadline() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -853,30 +838,17 @@ func (s *Stream) onDeadline() {
 	}
 	s.timerAt = time.Time{}
 	now := time.Now()
-	if !s.sq.drr {
-		// Shared FIFO: a due deadline flushes the whole pending batch, the
-		// historical MaxDelay behaviour.
+	for {
+		fired := false
 		for obj, dl := range s.deadlines {
 			if !dl.After(now) {
-				if s.sq.pendN > 0 {
-					s.flushAllLocked(trigDelay, obj)
-				}
+				s.flushObjLocked(obj)
+				fired = true
 				break
 			}
 		}
-	} else {
-		for {
-			fired := false
-			for obj, dl := range s.deadlines {
-				if !dl.After(now) {
-					s.flushObjLocked(obj)
-					fired = true
-					break
-				}
-			}
-			if !fired {
-				break
-			}
+		if !fired {
+			break
 		}
 	}
 	// Re-arm for the earliest deadline still pending.
@@ -892,7 +864,7 @@ func (s *Stream) onDeadline() {
 }
 
 // containerLimits returns the per-container frame and byte caps of a drain:
-// ChunkFrames segments a scheduled drain so the weighted order reaches the
+// ChunkFrames segments a drain so the weighted order reaches the
 // wire container by container; the byte cap keeps every container within
 // what a receiver accepts (the jumbo-snapshot guard).
 func (s *Stream) containerLimits() (frames, bytes int) {
@@ -943,8 +915,8 @@ func (s *Stream) flushAllLocked(trigger int, cause ObjID) error {
 }
 
 // flushObjLocked drains one object's queue to every peer connection — the
-// per-object max-delay override path: the other objects' frames stay queued
-// under the shared policy. Called with mu held, DRR mode only.
+// per-object flush-deadline path: the other objects' frames stay queued
+// under the shared policy. Called with mu held.
 func (s *Stream) flushObjLocked(obj ObjID) error {
 	delete(s.deadlines, obj)
 	if s.sq.objPending(obj) == 0 {
@@ -1101,123 +1073,84 @@ func (s *Stream) Stats() Stats {
 // for a single-object group).
 func (s *Stream) Manifest() Manifest { return s.man }
 
-// Recv returns the next frame received from any peer. Buffered frames are
-// always served first — a peer that finished and hung up has already pushed
-// everything it sent, so its hangup never hides frames. With wait=true Recv
-// blocks up to the receive timeout; a decode failure surfaces as the error
-// recorded by the receive loop, and once every peer has hung up and the
-// queue is drained it reports exhaustion.
+// Recv returns the next frame received from any peer (see next for the
+// blocking, exhaustion and close semantics). The frame aliases its container
+// buffer, which is not pooled, so the caller may keep it. Recv refuses while
+// a Receiver owns the endpoint's receive side.
 func (s *Stream) Recv(wait bool) (Frame, bool, error) {
-	if s.pframes != nil {
-		return Frame{}, false, fmt.Errorf("transport: Recv on an endpoint whose receive side is owned by the pipeline (WithReceiver)")
+	if s.owned.Load() {
+		return Frame{}, false, fmt.Errorf("transport: Recv on an endpoint whose receive side is owned by the pipeline (NewReceiver)")
 	}
+	pf, ok, err := s.next(wait)
+	return pf.f, ok, err
+}
+
+// next returns the next queued frame together with its container. Queued
+// frames are always served first — a peer that finished and hung up has
+// already pushed everything it sent, so its hangup never hides frames. With
+// wait=true next blocks up to the receive timeout; a decode failure surfaces
+// as the error recorded by the receive loop, and once every peer has hung up
+// and the queue is drained it reports ErrExhausted.
+func (s *Stream) next(wait bool) (pipeFrame, bool, error) {
 	for {
 		select {
-		case f := <-s.frames:
-			return f, true, nil
+		case pf := <-s.queue:
+			return pf, true, nil
 		default:
 		}
 		if s.allHungUp() {
 			// No connection can produce more frames; drain once more (a
 			// frame may have landed between the checks), then report.
 			select {
-			case f := <-s.frames:
-				return f, true, nil
+			case pf := <-s.queue:
+				return pf, true, nil
 			default:
-				return Frame{}, false, ErrExhausted
+				return pipeFrame{}, false, ErrExhausted
 			}
 		}
 		if !wait {
 			select {
-			case f := <-s.frames:
-				return f, true, nil
+			case pf := <-s.queue:
+				return pf, true, nil
 			case err := <-s.errs:
-				return Frame{}, false, err
-			case <-s.closed:
-				return Frame{}, false, ErrClosed
-			default:
-				return Frame{}, false, nil
-			}
-		}
-		select {
-		case f := <-s.frames:
-			return f, true, nil
-		case err := <-s.errs:
-			return Frame{}, false, err
-		case <-s.hungCh:
-			continue // a peer hung up: re-evaluate exhaustion
-		case <-s.closed:
-			return Frame{}, false, ErrClosed
-		case <-time.After(s.recvTimeout):
-			return Frame{}, false, fmt.Errorf("transport: %w after %s", ErrTimeout, s.recvTimeout)
-		}
-	}
-}
-
-// recvPipe is Recv's pipeline-mode twin (the pipeSource hook): it hands the
-// dispatcher the next zero-copy frame together with its pooled-buffer release
-// hook. Exhaustion and closure surface as the shared sentinels so the
-// dispatcher can tell a clean drain from a failure.
-func (s *Stream) recvPipe(wait bool) (Frame, func(), bool, error) {
-	for {
-		select {
-		case pf := <-s.pframes:
-			return pf.f, pf.release, true, nil
-		default:
-		}
-		if s.allHungUp() {
-			select {
-			case pf := <-s.pframes:
-				return pf.f, pf.release, true, nil
-			default:
-				return Frame{}, nil, false, ErrExhausted
-			}
-		}
-		if !wait {
-			select {
-			case pf := <-s.pframes:
-				return pf.f, pf.release, true, nil
-			case err := <-s.errs:
-				return Frame{}, nil, false, err
+				return pipeFrame{}, false, err
 			case <-s.closed:
 				return s.closeDrain()
 			default:
-				return Frame{}, nil, false, nil
+				return pipeFrame{}, false, nil
 			}
 		}
 		select {
-		case pf := <-s.pframes:
-			return pf.f, pf.release, true, nil
+		case pf := <-s.queue:
+			return pf, true, nil
 		case err := <-s.errs:
-			return Frame{}, nil, false, err
+			return pipeFrame{}, false, err
 		case <-s.hungCh:
 			continue // a peer hung up: re-evaluate exhaustion
 		case <-s.closed:
 			return s.closeDrain()
 		case <-time.After(s.recvTimeout):
-			return Frame{}, nil, false, fmt.Errorf("transport: %w after %s", ErrTimeout, s.recvTimeout)
+			return pipeFrame{}, false, fmt.Errorf("transport: %w after %s", ErrTimeout, s.recvTimeout)
 		}
 	}
 }
 
-// closeDrain is recvPipe's Close path: keep consuming so receive loops
-// blocked mid-batch can finish handing over (or retract) their frames, and
-// report ErrClosed only once every loop has exited and the queue is empty.
+// closeDrain is next's Close path: keep consuming so receive loops blocked
+// mid-batch can finish handing over (or retract) their frames, and report
+// ErrClosed only once every loop has exited and the queue is empty.
 // Returning on the close signal alone would race frames a loop pushed
-// between the dispatcher's last look at the queue and its own closed check,
-// stranding them counted-but-undispatched.
-func (s *Stream) closeDrain() (Frame, func(), bool, error) {
-	for {
+// between the consumer's last look at the queue and its own closed check,
+// stranding them counted-but-unconsumed.
+func (s *Stream) closeDrain() (pipeFrame, bool, error) {
+	select {
+	case pf := <-s.queue:
+		return pf, true, nil
+	case <-s.recvsDone:
 		select {
-		case pf := <-s.pframes:
-			return pf.f, pf.release, true, nil
-		case <-s.recvsDone:
-			select {
-			case pf := <-s.pframes:
-				return pf.f, pf.release, true, nil
-			default:
-				return Frame{}, nil, false, ErrClosed
-			}
+		case pf := <-s.queue:
+			return pf, true, nil
+		default:
+			return pipeFrame{}, false, ErrClosed
 		}
 	}
 }
@@ -1231,8 +1164,8 @@ func (s *Stream) Close() error {
 		s.mu.Lock()
 		s.flushAllLocked(trigClose, 0)
 		s.stopTimerLocked()
-		s.mu.Unlock()
 		close(s.closed)
+		s.mu.Unlock()
 		if s.ln != nil {
 			s.ln.Close()
 		}
@@ -1243,7 +1176,9 @@ func (s *Stream) Close() error {
 			}
 		}
 		s.mu.Unlock()
+		s.wg.Wait()
+		close(s.recvsDone)
 	})
-	s.wg.Wait()
+	<-s.recvsDone
 	return nil
 }

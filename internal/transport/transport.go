@@ -100,6 +100,9 @@ var (
 	// ErrExhausted: every peer hung up and the receive queue is drained — the
 	// endpoint can never produce another frame.
 	ErrExhausted = errors.New("transport: every peer hung up with the frame queue drained")
+	// ErrNotStream: the receive pipeline was asked to run over an endpoint
+	// that is not a socket Stream. The in-memory network is pulled with Step.
+	ErrNotStream = errors.New("transport: the receive pipeline runs only over a socket Stream; pull the in-memory network with Step")
 )
 
 // Transport is one node's endpoint on the network of a replicated object.
