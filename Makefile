@@ -1,7 +1,7 @@
 # Convenience targets for the reproduction. Everything is plain `go` —
 # these just bundle the invocations the docs mention.
 
-.PHONY: all build test short race ci chaos sockets flake fuzz soak bench bench-md bench-transport repro examples fmt vet
+.PHONY: all build test short race ci chaos sockets perfbench-smoke flake fuzz soak bench bench-md bench-transport repro examples fmt vet
 
 all: build vet test
 
@@ -58,6 +58,15 @@ chaos:
 sockets:
 	go test -run 'TestStream|TestNode|TestManifest' ./internal/transport/
 	bash scripts/socket-smoke.sh
+
+# CI's perfbench smoke runs this target on every push and PR: the benchmark
+# module's own tests, then a short run of every workload over real unix
+# sockets. Each run's correctness gate (one replicate sample per effectful
+# op, byte-equal canonical states) fails it if causal delivery, snapshot
+# catch-up or compaction breaks.
+perfbench-smoke:
+	cd perfbench && go test ./...
+	bash perfbench/run.sh --workload all --seconds 3 --trace 0
 
 # Mirror of the nightly CI flake-rate job: the conformance and transport
 # suites 20 times under the race detector at 1, 2 and 4 CPUs. Prints how many

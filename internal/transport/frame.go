@@ -3,7 +3,7 @@ package transport
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/codec"
 	"repro/internal/model"
@@ -28,8 +28,11 @@ func (f Frame) Append(b []byte) []byte {
 	b = codec.AppendUvarint(b, uint64(f.Obj))
 	b = codec.AppendUvarint(b, uint64(f.MID))
 	b = codec.AppendUvarint(b, uint64(f.From))
-	deps := append([]model.MsgID(nil), f.Deps...)
-	sort.Slice(deps, func(i, j int) bool { return deps[i] < deps[j] })
+	deps := f.Deps
+	if !slices.IsSorted(deps) {
+		deps = slices.Clone(deps)
+		slices.Sort(deps)
+	}
 	b = codec.AppendUvarint(b, uint64(len(deps)))
 	for _, d := range deps {
 		b = codec.AppendUvarint(b, uint64(d))
@@ -67,6 +70,14 @@ func Decode(b []byte) (Frame, error) {
 	ndeps, rest, err := codec.DecodeUvarint(rest)
 	if err != nil {
 		return f, err
+	}
+	// Every dep takes at least one byte, so a larger count is a mangled
+	// prefix — reject it before sizing the slice by it.
+	if ndeps > uint64(len(rest)) {
+		return f, fmt.Errorf("%w: frame lists %d deps in %d bytes", codec.ErrCorrupt, ndeps, len(rest))
+	}
+	if ndeps > 0 {
+		f.Deps = make([]model.MsgID, 0, ndeps)
 	}
 	for i := uint64(0); i < ndeps; i++ {
 		var d uint64

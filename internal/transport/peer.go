@@ -3,7 +3,7 @@ package transport
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -47,6 +47,16 @@ type Peer struct {
 
 	state   crdt.State
 	applied map[model.MsgID]bool
+	// unlisted holds this peer's last effector mid plus every mid applied
+	// since: the immediate causal predecessors its next effector frame lists
+	// as deps. Every applied frame's listed deps were applied before it, so
+	// the transitive closure of a frame's deps is exactly the applied set at
+	// issue. Tracked only when listDeps.
+	unlisted []model.MsgID
+	// listDeps: frames carry deps — for causal delivery, or because the mesh
+	// runs the snapshot protocol, where deps double as the acknowledgements
+	// that drive the compaction frontier.
+	listDeps bool
 	// held buffers effector frames whose dependencies are not yet applied
 	// (causal delivery only).
 	held map[model.MsgID]Frame
@@ -62,7 +72,7 @@ type Peer struct {
 	// Snapshot serving/compaction side (WithSnapshotPolicy). log retains
 	// every applied effector frame not yet folded into the checkpoint; acks
 	// tracks, per peer, the frames that peer is known to have applied (its
-	// own broadcasts plus everything in the deps it puts on the wire) — the
+	// own broadcasts plus the union of the deps it puts on the wire) — the
 	// input to the compaction frontier.
 	snapServe    bool
 	pol          SnapshotPolicy
@@ -132,6 +142,7 @@ func NewPeer(obj crdt.Object, dec crdt.EffectorDecoder, t Transport, causal bool
 	for _, o := range opts {
 		o(p)
 	}
+	p.listDeps = causal || p.snapServe || p.catchUp
 	return p
 }
 
@@ -217,7 +228,12 @@ func (p *Peer) Invoke(op model.Op) (model.Value, error) {
 	if _, derr := p.dec(payload); derr != nil {
 		return model.Nil(), fmt.Errorf("transport: effector %s does not decode with the registered codec: %v", eff, derr)
 	}
-	f := Frame{Kind: KindEffector, Obj: p.objID, MID: mid, From: p.t.Self(), Payload: payload, Deps: p.wireDeps()}
+	f := Frame{Kind: KindEffector, Obj: p.objID, MID: mid, From: p.t.Self(), Payload: payload}
+	if p.listDeps {
+		slices.Sort(p.unlisted)
+		f.Deps = p.unlisted
+		p.unlisted = []model.MsgID{mid}
+	}
 	p.state = eff.Apply(p.state)
 	p.applied[mid] = true
 	p.issued++
@@ -230,12 +246,11 @@ func (p *Peer) Invoke(op model.Op) (model.Value, error) {
 	return ret, p.t.Broadcast(f)
 }
 
-// wireDeps returns the dependency list a frame should carry: the applied set
-// when causal delivery needs it, or when the mesh runs the snapshot protocol
-// — there the deps double as acknowledgements that drive the compaction
-// frontier, so serving peers and catch-up joiners always attach them.
-func (p *Peer) wireDeps() []model.MsgID {
-	if p.causal || p.snapServe || p.catchUp {
+// fullDeps returns the whole applied set, sorted, when frames carry deps.
+// The rare Done and snapshot-request frames list it in full, so a peer's
+// final acknowledgement set never depends on having seen its earlier frames.
+func (p *Peer) fullDeps() []model.MsgID {
+	if p.listDeps {
 		return p.visible()
 	}
 	return nil
@@ -247,8 +262,17 @@ func (p *Peer) visible() []model.MsgID {
 	for mid := range p.applied {
 		deps = append(deps, mid)
 	}
-	sort.Slice(deps, func(i, j int) bool { return deps[i] < deps[j] })
+	slices.Sort(deps)
 	return deps
+}
+
+// markApplied records mid as applied, and as a predecessor the next
+// effector frame must list.
+func (p *Peer) markApplied(mid model.MsgID) {
+	p.applied[mid] = true
+	if p.listDeps {
+		p.unlisted = append(p.unlisted, mid)
+	}
 }
 
 // Done announces that this peer has finished issuing operations, carrying
@@ -264,7 +288,7 @@ func (p *Peer) Done() error {
 	if err := p.t.Broadcast(Frame{
 		Kind: KindDone, Obj: p.objID, MID: p.nextMID(), From: p.t.Self(),
 		Payload: codec.AppendUvarint(nil, uint64(p.issued)),
-		Deps:    p.wireDeps(),
+		Deps:    p.fullDeps(),
 	}); err != nil {
 		return err
 	}
@@ -329,6 +353,12 @@ func (p *Peer) Handle(f Frame) error {
 	case KindSnapshotRequest:
 		p.observe(f.MID)
 		p.ack(f)
+		if p.listDeps {
+			// The joiner never saw the frames this peer sent before it
+			// connected: the next effector frame lists the whole applied set,
+			// so the joiner's acknowledgements for this peer are complete.
+			p.unlisted = p.visible()
+		}
 		return p.serveSnapshot(f.From)
 	default:
 		return fmt.Errorf("transport: %s frame from %s", KindName(f.Kind), f.From)
@@ -395,7 +425,7 @@ func (p *Peer) apply(f Frame) error {
 		return fmt.Errorf("transport: frame %s from %s: %w", f.MID, f.From, err)
 	}
 	p.state = eff.Apply(p.state)
-	p.applied[f.MID] = true
+	p.markApplied(f.MID)
 	p.remote++
 	if p.snapServe {
 		// The compaction log outlives the handler call: detach the payload
@@ -413,7 +443,7 @@ func (p *Peer) apply(f Frame) error {
 // unconditionally once the sync resolves (their deps are acknowledgement
 // metadata, not delivery gates).
 func (p *Peer) retryHeld() error {
-	if p.syncing {
+	if p.syncing || len(p.held) == 0 {
 		return nil
 	}
 	for {
@@ -422,7 +452,7 @@ func (p *Peer) retryHeld() error {
 		for mid := range p.held {
 			mids = append(mids, mid)
 		}
-		sort.Slice(mids, func(i, j int) bool { return mids[i] < mids[j] })
+		slices.Sort(mids)
 		for _, mid := range mids {
 			f := p.held[mid]
 			if p.applied[mid] {
@@ -475,7 +505,7 @@ func (p *Peer) CatchUp() error {
 	p.requested = true
 	p.syncing = true
 	if err := p.t.Broadcast(Frame{
-		Kind: KindSnapshotRequest, Obj: p.objID, MID: p.nextMID(), From: p.t.Self(), Deps: p.wireDeps(),
+		Kind: KindSnapshotRequest, Obj: p.objID, MID: p.nextMID(), From: p.t.Self(), Deps: p.fullDeps(),
 	}); err != nil {
 		return err
 	}
@@ -608,7 +638,7 @@ func (p *Peer) handleSnapshot(f Frame) error {
 		for _, mid := range snap.Covered {
 			p.observe(mid)
 			if !p.applied[mid] {
-				p.applied[mid] = true
+				p.markApplied(mid)
 				p.remote++
 				p.snapStats.InstallCovered++
 			}
@@ -672,25 +702,24 @@ func (p *Peer) tickCompaction() error {
 // retained suffix. A peer that has not acknowledged anything (a joiner whose
 // first frames have not arrived) blocks the frontier entirely, which is the
 // safe direction.
+//
+// Under causal delivery a frame also waits until its listed deps are covered
+// or stable, so the covered set stays causally closed and the checkpoint's
+// mid-order fold stays a legal schedule. Complete acknowledgement sets are
+// causally closed already; the check matters while one is partial — a
+// joiner holds only the deps a peer listed after it connected, until that
+// peer's next effector frame lists its whole applied set.
 func (p *Peer) compact() error {
 	if len(p.log) == 0 {
 		return nil
 	}
 	peers := p.connectedPeers()
 	var stable []model.MsgID
+	byMID := map[model.MsgID]Frame{}
 	for _, f := range p.log {
-		acked := true
-		for _, q := range peers {
-			if q == p.t.Self() {
-				continue
-			}
-			if !p.acks[q][f.MID] {
-				acked = false
-				break
-			}
-		}
-		if acked {
+		if p.ackedByAll(f.MID, peers) && (!p.causal || p.depsStable(f, byMID)) {
 			stable = append(stable, f.MID)
+			byMID[f.MID] = f
 		}
 	}
 	if len(stable) == 0 {
@@ -698,10 +727,6 @@ func (p *Peer) compact() error {
 	}
 	if p.ck == nil {
 		p.ck = NewCheckpoint(p.obj.Init())
-	}
-	byMID := make(map[model.MsgID]Frame, len(p.log))
-	for _, f := range p.log {
-		byMID[f.MID] = f
 	}
 	if err := p.ck.Advance(stable, func(mid model.MsgID) (crdt.Effector, bool) {
 		f, ok := byMID[mid]
@@ -717,18 +742,37 @@ func (p *Peer) compact() error {
 		return err
 	}
 	retained := p.log[:0]
-	truncated := 0
 	for _, f := range p.log {
-		if p.ck.Covered[f.MID] {
-			truncated++
-			continue
+		if !p.ck.Covered[f.MID] {
+			retained = append(retained, f)
 		}
-		retained = append(retained, f)
 	}
-	p.log = retained
 	p.snapStats.Checkpoints++
-	p.snapStats.LogTruncated += truncated
+	p.snapStats.LogTruncated += len(p.log) - len(retained)
+	p.log = retained
 	return nil
+}
+
+// ackedByAll reports whether every connected peer has acknowledged mid.
+func (p *Peer) ackedByAll(mid model.MsgID, peers []model.NodeID) bool {
+	for _, q := range peers {
+		if q != p.t.Self() && !p.acks[q][mid] {
+			return false
+		}
+	}
+	return true
+}
+
+// depsStable reports whether every dep f lists is already covered by the
+// checkpoint or in the stable set being built. A causal peer applied each
+// dep before f, so a dep not yet stable precedes f in the log.
+func (p *Peer) depsStable(f Frame, stable map[model.MsgID]Frame) bool {
+	for _, d := range f.Deps {
+		if _, ok := stable[d]; !ok && (p.ck == nil || !p.ck.Covered[d]) {
+			return false
+		}
+	}
+	return true
 }
 
 // connectedPeers returns the peers the compaction frontier must wait for:

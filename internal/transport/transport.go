@@ -78,10 +78,15 @@ type ObjID uint64
 
 // Frame is one addressed wire message: routing metadata plus an opaque
 // canonical payload. Obj scopes the frame to one replicated object when many
-// share the transport (0 for a single-object group). Deps carries the
-// origin's causal dependency set (the MsgIDs visible when the operation was
-// issued, within the object's own mid space) for algorithms that require
-// causal delivery; it is empty otherwise.
+// share the transport (0 for a single-object group). Deps lists, within the
+// object's own mid space, the immediate causal predecessors of an effector
+// frame: the origin's previous effector plus every mid it applied since. A
+// receiver applied each listed dep only after that dep's own deps, so the
+// transitive closure of a frame's deps is exactly the origin's applied set
+// at issue — all causal delivery needs. A Done or snapshot-request frame
+// lists the origin's whole applied set, and so does the first effector frame
+// after the origin handles a snapshot request. Deps are empty when the
+// algorithm needs no causal delivery and the mesh runs no snapshot protocol.
 type Frame struct {
 	Kind    byte
 	Obj     ObjID
