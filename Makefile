@@ -86,6 +86,7 @@ fuzz:
 	go test -run '^$$' -fuzz '^FuzzCheckACC$$' -fuzztime 30s ./internal/core/
 	go test -run '^$$' -fuzz '^FuzzClusterDelivery$$' -fuzztime 30s ./internal/sim/
 	go test -run '^$$' -fuzz '^FuzzCodecRoundTrip$$' -fuzztime 30s ./internal/codec/
+	go test -run '^$$' -fuzz '^FuzzPMap$$' -fuzztime 30s ./internal/crdts/xset/
 	go test -run '^$$' -fuzz '^FuzzSnapshotInstall$$' -fuzztime 30s ./internal/transport/
 
 soak:

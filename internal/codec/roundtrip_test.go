@@ -96,6 +96,41 @@ func TestAlgorithmCodecsRoundTrip(t *testing.T) {
 	}
 }
 
+// TestApplyIsPure: for every registry algorithm, every effector harvested
+// from drained runs, applied to every harvested state, leaves that state's
+// canonical bytes untouched, and applying it twice to the same old version
+// gives equal states. States may share structure with what Apply returns,
+// so a path copy that aliases a node instead of copying it fails here.
+func TestApplyIsPure(t *testing.T) {
+	for _, alg := range allAlgorithms() {
+		alg := alg
+		t.Run(alg.Name, func(t *testing.T) {
+			for seed := int64(1); seed <= 3; seed++ {
+				states, effs := harvest(t, alg, seed)
+				for _, senc := range states {
+					st, err := alg.DecodeState(senc)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, eenc := range effs {
+						eff, err := alg.DecodeEffector(eenc)
+						if err != nil {
+							t.Fatal(err)
+						}
+						once := eff.Apply(st).AppendBinary(nil)
+						if !bytes.Equal(st.AppendBinary(nil), senc) {
+							t.Fatalf("seed %d: %s mutated the state it was applied to (%s)", seed, eff, st.Key())
+						}
+						if twice := eff.Apply(st).AppendBinary(nil); !bytes.Equal(once, twice) {
+							t.Fatalf("seed %d: %s applied twice to %s gave different states", seed, eff, st.Key())
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
 // TestAlgorithmDecodersRejectCorruption: table-driven corruption over every
 // algorithm's real encodings — each proper prefix, a trailing junk byte, and
 // an unknown effector tag must fail with an error wrapping codec.ErrCorrupt,

@@ -17,95 +17,35 @@ import (
 	"strings"
 
 	"repro/internal/crdt"
+	"repro/internal/crdts/xset"
 	"repro/internal/model"
 	"repro/internal/spec"
 )
 
 // Tag uniquely identifies one add instance: the origin node plus the unique
 // request ID of the add.
-type Tag struct {
-	Node model.NodeID
-	Seq  int64
-}
-
-// String renders the tag.
-func (t Tag) String() string { return fmt.Sprintf("%s#%d", t.Node, t.Seq) }
-
-func (t Tag) less(u Tag) bool {
-	if t.Node != u.Node {
-		return t.Node < u.Node
-	}
-	return t.Seq < u.Seq
-}
+type Tag = xset.Tag
 
 // inst is one tagged instance of an element.
-type inst struct {
-	E model.Value
-	T Tag
-}
+type inst = xset.Inst
 
-func (i inst) key() string { return fmt.Sprintf("%s@%s", i.E, i.T) }
-
-// State is the replica state: all add instances ever seen and the tombstoned
-// (deleted) instances. An instance is live iff added and not tombstoned.
+// State is the replica state: every add instance ever seen, and the
+// tombstoned (deleted) instances, in one grow-only instance set. An instance
+// is live iff added and not tombstoned.
 type State struct {
-	Adds map[string]inst // every instance ever added, keyed by inst.key
-	Dead map[string]bool // tombstoned instance keys
+	Insts xset.Set
 }
 
 // Key implements crdt.State.
 func (s State) Key() string {
-	keys := make([]string, 0, len(s.Adds))
-	for k := range s.Adds {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	b.WriteString("aw{")
-	for i, k := range keys {
-		if i > 0 {
-			b.WriteByte(' ')
-		}
-		b.WriteString(k)
-		if s.Dead[k] {
-			b.WriteByte('!')
-		}
-	}
-	b.WriteByte('}')
-	return b.String()
+	return string(append(s.Insts.AppendKeys([]byte("aw{")), '}'))
 }
 
-func (s State) clone() State {
-	a := make(map[string]inst, len(s.Adds))
-	d := make(map[string]bool, len(s.Dead))
-	for k, v := range s.Adds {
-		a[k] = v
-	}
-	for k := range s.Dead {
-		d[k] = true
-	}
-	return State{Adds: a, Dead: d}
-}
-
-// liveInsts returns the live instances of element e (all live instances when
-// e is nil), sorted by tag for determinism.
-func (s State) liveInsts(e *model.Value) []inst {
-	var out []inst
-	for k, in := range s.Adds {
-		if s.Dead[k] {
-			continue
-		}
-		if e != nil && !in.E.Equal(*e) {
-			continue
-		}
-		out = append(out, in)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if !out[i].E.Equal(out[j].E) {
-			return out[i].E.Less(out[j].E)
-		}
-		return out[i].T.less(out[j].T)
-	})
+// liveInsts returns the live instances of element e, sorted by tag: the
+// order a remove's effector carries them in on the wire.
+func (s State) liveInsts(e model.Value) []inst {
+	out := s.Insts.Live(e)
+	sort.Slice(out, func(i, j int) bool { return out[i].T.Less(out[j].T) })
 	return out
 }
 
@@ -117,10 +57,7 @@ type AddEff struct {
 
 // Apply implements crdt.Effector.
 func (d AddEff) Apply(s crdt.State) crdt.State {
-	st := s.(State).clone()
-	in := inst{E: d.E, T: d.T}
-	st.Adds[in.key()] = in
-	return st
+	return State{Insts: s.(State).Insts.Add(inst{E: d.E, T: d.T})}
 }
 
 // String implements crdt.Effector.
@@ -135,18 +72,18 @@ type RmvEff struct {
 
 // Apply implements crdt.Effector.
 func (d RmvEff) Apply(s crdt.State) crdt.State {
-	st := s.(State).clone()
+	st := s.(State).Insts
 	for _, in := range d.Insts {
-		st.Dead[in.key()] = true
+		st = st.Kill(in.Key())
 	}
-	return st
+	return State{Insts: st}
 }
 
 // String implements crdt.Effector.
 func (d RmvEff) String() string {
 	parts := make([]string, len(d.Insts))
 	for i, in := range d.Insts {
-		parts[i] = in.key()
+		parts[i] = in.Key()
 	}
 	return fmt.Sprintf("Rmv(%s,{%s})", d.E, strings.Join(parts, " "))
 }
@@ -161,9 +98,7 @@ func New() Object { return Object{} }
 func (Object) Name() string { return "aw-set" }
 
 // Init implements crdt.Object.
-func (Object) Init() crdt.State {
-	return State{Adds: map[string]inst{}, Dead: map[string]bool{}}
-}
+func (Object) Init() crdt.State { return State{} }
 
 // Ops implements crdt.Object.
 func (Object) Ops() []model.OpName {
@@ -177,11 +112,9 @@ func (Object) Prepare(op model.Op, s crdt.State, origin model.NodeID, mid model.
 	case spec.OpAdd:
 		return model.Nil(), AddEff{E: op.Arg, T: Tag{Node: origin, Seq: int64(mid)}}, nil
 	case spec.OpRemove:
-		e := op.Arg
-		return model.Nil(), RmvEff{E: e, Insts: st.liveInsts(&e)}, nil
+		return model.Nil(), RmvEff{E: op.Arg, Insts: st.liveInsts(op.Arg)}, nil
 	case spec.OpLookup:
-		e := op.Arg
-		return model.Bool(len(st.liveInsts(&e)) > 0), crdt.IdEff{}, nil
+		return model.Bool(st.Insts.Has(op.Arg)), crdt.IdEff{}, nil
 	case spec.OpRead:
 		return Abs(st), crdt.IdEff{}, nil
 	default:
@@ -192,12 +125,7 @@ func (Object) Prepare(op model.Op, s crdt.State, origin model.NodeID, mid model.
 // Abs is the abstraction function φ: the sorted distinct elements with at
 // least one live instance — instances and tags are hidden.
 func Abs(s crdt.State) model.Value {
-	st := s.(State)
-	set := model.NewValueSet()
-	for _, in := range st.liveInsts(nil) {
-		set.Add(in.E)
-	}
-	return model.List(set.Elems()...)
+	return model.List(s.(State).Insts.Elems()...)
 }
 
 // Spec returns the extended specification (Γ, ⊲⊳, ◀, ▷) with the add-wins

@@ -13,108 +13,31 @@ package rwset
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/crdt"
+	"repro/internal/crdts/xset"
 	"repro/internal/model"
 	"repro/internal/spec"
 )
 
 // Tag uniquely identifies one add or removal instance.
-type Tag struct {
-	Node model.NodeID
-	Seq  int64
-}
-
-// String renders the tag.
-func (t Tag) String() string { return fmt.Sprintf("%s#%d", t.Node, t.Seq) }
+type Tag = xset.Tag
 
 // inst is a tagged instance of an element.
-type inst struct {
-	E model.Value
-	T Tag
-}
+type inst = xset.Inst
 
-func (i inst) key() string { return fmt.Sprintf("%s@%s", i.E, i.T) }
-
-// State is the replica state: add instances, removal instances, and the keys
-// of removal instances that have been cancelled by later adds.
+// State is the replica state: the add instances, and the removal instances
+// with the cancelled ones tombstoned.
 type State struct {
-	Adds      map[string]inst
-	Rmvs      map[string]inst
-	Cancelled map[string]bool // keys of cancelled removal instances
+	Adds, Rmvs xset.Set
 }
 
 // Key implements crdt.State.
 func (s State) Key() string {
-	var b strings.Builder
-	b.WriteString("rw{A:")
-	b.WriteString(sortedKeys(s.Adds, nil))
-	b.WriteString(",R:")
-	b.WriteString(sortedKeys(s.Rmvs, s.Cancelled))
-	b.WriteByte('}')
-	return b.String()
-}
-
-func sortedKeys(m map[string]inst, marked map[string]bool) string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	for i, k := range keys {
-		if i > 0 {
-			b.WriteByte(' ')
-		}
-		b.WriteString(k)
-		if marked[k] {
-			b.WriteByte('!')
-		}
-	}
-	return b.String()
-}
-
-func (s State) clone() State {
-	a := make(map[string]inst, len(s.Adds))
-	r := make(map[string]inst, len(s.Rmvs))
-	c := make(map[string]bool, len(s.Cancelled))
-	for k, v := range s.Adds {
-		a[k] = v
-	}
-	for k, v := range s.Rmvs {
-		r[k] = v
-	}
-	for k := range s.Cancelled {
-		c[k] = true
-	}
-	return State{Adds: a, Rmvs: r, Cancelled: c}
-}
-
-// liveRmvs returns the uncancelled removal instances of e, sorted.
-func (s State) liveRmvs(e model.Value) []inst {
-	var out []inst
-	for k, in := range s.Rmvs {
-		if !s.Cancelled[k] && in.E.Equal(e) {
-			out = append(out, in)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].key() < out[j].key() })
-	return out
-}
-
-func (s State) hasAdd(e model.Value) bool {
-	for _, in := range s.Adds {
-		if in.E.Equal(e) {
-			return true
-		}
-	}
-	return false
-}
-
-func (s State) has(e model.Value) bool {
-	return s.hasAdd(e) && len(s.liveRmvs(e)) == 0
+	b := s.Adds.AppendKeys([]byte("rw{A:"))
+	b = s.Rmvs.AppendKeys(append(b, ",R:"...))
+	return string(append(b, '}'))
 }
 
 // AddEff is the effector of add(e): record the tagged add instance and
@@ -127,11 +50,10 @@ type AddEff struct {
 
 // Apply implements crdt.Effector.
 func (d AddEff) Apply(s crdt.State) crdt.State {
-	st := s.(State).clone()
-	in := inst{E: d.E, T: d.T}
-	st.Adds[in.key()] = in
+	st := s.(State)
+	st.Adds = st.Adds.Add(inst{E: d.E, T: d.T})
 	for _, r := range d.Cancels {
-		st.Cancelled[r.key()] = true
+		st.Rmvs = st.Rmvs.Kill(r.Key())
 	}
 	return st
 }
@@ -140,7 +62,7 @@ func (d AddEff) Apply(s crdt.State) crdt.State {
 func (d AddEff) String() string {
 	parts := make([]string, len(d.Cancels))
 	for i, r := range d.Cancels {
-		parts[i] = r.key()
+		parts[i] = r.Key()
 	}
 	return fmt.Sprintf("AddR(%s,%s,cancel{%s})", d.E, d.T, strings.Join(parts, " "))
 }
@@ -153,9 +75,8 @@ type RmvEff struct {
 
 // Apply implements crdt.Effector.
 func (d RmvEff) Apply(s crdt.State) crdt.State {
-	st := s.(State).clone()
-	in := inst{E: d.E, T: d.T}
-	st.Rmvs[in.key()] = in
+	st := s.(State)
+	st.Rmvs = st.Rmvs.Add(inst{E: d.E, T: d.T})
 	return st
 }
 
@@ -172,9 +93,7 @@ func New() Object { return Object{} }
 func (Object) Name() string { return "rw-set" }
 
 // Init implements crdt.Object.
-func (Object) Init() crdt.State {
-	return State{Adds: map[string]inst{}, Rmvs: map[string]inst{}, Cancelled: map[string]bool{}}
-}
+func (Object) Init() crdt.State { return State{} }
 
 // Ops implements crdt.Object.
 func (Object) Ops() []model.OpName {
@@ -187,11 +106,11 @@ func (Object) Prepare(op model.Op, s crdt.State, origin model.NodeID, mid model.
 	switch op.Name {
 	case spec.OpAdd:
 		e := op.Arg
-		return model.Nil(), AddEff{E: e, T: Tag{Node: origin, Seq: int64(mid)}, Cancels: st.liveRmvs(e)}, nil
+		return model.Nil(), AddEff{E: e, T: Tag{Node: origin, Seq: int64(mid)}, Cancels: st.Rmvs.Live(e)}, nil
 	case spec.OpRemove:
 		return model.Nil(), RmvEff{E: op.Arg, T: Tag{Node: origin, Seq: int64(mid)}}, nil
 	case spec.OpLookup:
-		return model.Bool(st.has(op.Arg)), crdt.IdEff{}, nil
+		return model.Bool(st.Adds.Has(op.Arg) && !st.Rmvs.Has(op.Arg)), crdt.IdEff{}, nil
 	case spec.OpRead:
 		return Abs(st), crdt.IdEff{}, nil
 	default:
@@ -202,13 +121,13 @@ func (Object) Prepare(op model.Op, s crdt.State, origin model.NodeID, mid model.
 // Abs is the abstraction function φ: the sorted distinct present elements.
 func Abs(s crdt.State) model.Value {
 	st := s.(State)
-	set := model.NewValueSet()
-	for _, in := range st.Adds {
-		if st.has(in.E) {
-			set.Add(in.E)
+	var out []model.Value
+	for _, e := range st.Adds.Elems() {
+		if !st.Rmvs.Has(e) {
+			out = append(out, e)
 		}
 	}
-	return model.List(set.Elems()...)
+	return model.List(out...)
 }
 
 // Spec returns the extended specification (Γ, ⊲⊳, ◀, ▷) with the remove-wins

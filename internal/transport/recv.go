@@ -219,13 +219,16 @@ func (r *Receiver) pump() {
 // worker applies one shard's frames in arrival order. The goroutine carries
 // pprof labels — the shard index, plus the object of the frame being applied,
 // updated only when it changes — so a CPU profile attributes apply time to
-// objects. After a failure the worker keeps draining (releasing buffers)
-// without applying, so the dispatcher can never deadlock on a dead shard.
+// objects. Each object's label set is built once and cached, so switching
+// objects allocates nothing. After a failure the worker keeps draining
+// (releasing buffers) without applying, so the dispatcher can never deadlock
+// on a dead shard.
 func (r *Receiver) worker(i int, wg *sync.WaitGroup) {
 	defer wg.Done()
 	shardCtx := pprof.WithLabels(context.Background(), pprof.Labels("transport-recv-shard", strconv.Itoa(i)))
 	pprof.SetGoroutineLabels(shardCtx)
 	defer pprof.SetGoroutineLabels(context.Background())
+	objCtx := map[ObjID]context.Context{}
 	var lastObj ObjID
 	haveObj := false
 	for pf := range r.shards[i] {
@@ -235,8 +238,12 @@ func (r *Receiver) worker(i int, wg *sync.WaitGroup) {
 		}
 		if !haveObj || pf.f.Obj != lastObj {
 			lastObj, haveObj = pf.f.Obj, true
-			pprof.SetGoroutineLabels(pprof.WithLabels(shardCtx,
-				pprof.Labels("transport-recv-obj", strconv.FormatUint(uint64(lastObj), 10))))
+			ctx, ok := objCtx[lastObj]
+			if !ok {
+				ctx = pprof.WithLabels(shardCtx, pprof.Labels("transport-recv-obj", strconv.FormatUint(uint64(lastObj), 10)))
+				objCtx[lastObj] = ctx
+			}
+			pprof.SetGoroutineLabels(ctx)
 		}
 		err := r.handle(pf.f)
 		pf.buf.release()
